@@ -126,9 +126,45 @@ fn bench_recon_add(c: &mut Criterion) {
     g.finish();
 }
 
+/// The decoder's mask-dispatched entry, one case per path it can take:
+/// the two broadcast shortcuts, each with and without the mismatch-control
+/// toggle at `[63]`, and the range-guaranteed full transform.
+fn bench_idct_masked(c: &mut Criterion) {
+    let shapes: [(&str, &[(usize, i32)]); 5] = [
+        ("dc_only", &[(0, 345)]),
+        ("dc_mismatch", &[(0, 344), (63, 1)]),
+        ("row0", &[(0, 345), (1, -37), (2, 22), (5, 9)]),
+        (
+            "row0_mismatch",
+            &[(0, 344), (1, -37), (2, 22), (5, 9), (63, -1)],
+        ),
+        ("full", &[(0, 345), (1, -37), (8, 31), (9, -18), (16, 13)]),
+    ];
+    let mut g = c.benchmark_group("idct_masked");
+    for set in kernels::available() {
+        kernels::set_active(set);
+        for (name, coeffs) in shapes {
+            let mut block = [0i32; 64];
+            let mut out = [0i32; 64];
+            let mask = coeffs.iter().fold(0u64, |m, &(i, _)| m | 1 << i);
+            g.bench_function(format!("{}_{name}", set.name), |b| {
+                b.iter(|| {
+                    for &(i, v) in coeffs {
+                        block[i] = v;
+                    }
+                    tiledec_mpeg2::dct::idct_masked(black_box(&mut block), mask, &mut out);
+                    black_box(out[0]);
+                })
+            });
+        }
+    }
+    g.finish();
+}
+
 bench_group!(
     benches,
     bench_idct_dispatch,
+    bench_idct_masked,
     bench_mc_halfpel,
     bench_recon_add
 );

@@ -4,14 +4,20 @@
 //! The density benches exercise realistic mixed streams; the short/long
 //! variants isolate the two levels of the dct_coeff LUT: small levels stay
 //! entirely in the 8-bit root table while large levels force the
-//! second-level subtable (or the 24-bit escape form). The dc_differential
-//! and mv_component benches cover the other fused single-peek decoders.
+//! second-level subtable (or the 24-bit escape form). Each runs against
+//! both coefficient sinks: `discard` is the splitter's parse-only cost,
+//! `dequant` adds inverse quantisation into the sparse workspace (and its
+//! re-zeroing) — the difference is what reconstruction pays inside the
+//! VLD. The dc_differential and mv_component benches cover the other
+//! fused single-peek decoders.
 
 use std::hint::black_box;
 use tiledec_bench::microbench::Criterion;
 use tiledec_bench::{bench_group, bench_main};
 use tiledec_bitstream::{BitReader, BitWriter};
-use tiledec_mpeg2::block::{parse_block, write_block};
+use tiledec_mpeg2::block::{parse_block, write_block, Discard, MbCoeffs};
+use tiledec_mpeg2::quant::Dequant;
+use tiledec_mpeg2::slice::SliceContext;
 use tiledec_mpeg2::tables::dc_size::{decode_dc_differential, encode_dc_differential};
 use tiledec_mpeg2::tables::motion::{decode_mv_component, encode_mv_component};
 
@@ -40,15 +46,34 @@ fn encoded_blocks(count: usize, density: u64, pick: impl Fn(u64) -> i32) -> (Vec
 }
 
 fn bench_parse(g: &mut tiledec_bench::microbench::Group, name: &str, bytes: &[u8], count: usize) {
-    g.bench_function(name, |b| {
+    let enc = tiledec_mpeg2::Encoder::new(tiledec_mpeg2::EncoderConfig::for_size(16, 16)).unwrap();
+    let seq = enc.sequence_info();
+    let pic = tiledec_mpeg2::types::PictureInfo::new(
+        tiledec_mpeg2::PictureKind::P,
+        0,
+        [[1, 1], [15, 15]],
+    );
+    let ctx = SliceContext { seq, pic: &pic };
+    let q = Dequant::new(&ctx, false, 8);
+    g.bench_function(format!("{name}_discard"), |b| {
         b.iter(|| {
             let mut r = BitReader::new(bytes);
-            let mut out = [0i32; 64];
             for _ in 0..count {
-                let mut dc = 0;
-                parse_block(black_box(&mut r), false, true, false, &mut dc, &mut out).unwrap();
+                parse_block(black_box(&mut r), &q, 0, false, &mut 0, &mut Discard).unwrap();
             }
-            black_box(out[0]);
+            black_box(r.bit_position());
+        })
+    });
+    g.bench_function(format!("{name}_dequant"), |b| {
+        let mut ws = MbCoeffs::default();
+        b.iter(|| {
+            let mut r = BitReader::new(bytes);
+            let mut sum = 0;
+            for _ in 0..count {
+                parse_block(black_box(&mut r), &q, 0, false, &mut 0, &mut ws).unwrap();
+                ws.drain_block(0, |_, v| sum += v);
+            }
+            black_box(sum);
         })
     });
 }

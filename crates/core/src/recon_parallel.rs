@@ -48,6 +48,7 @@ use std::thread;
 use std::time::Instant;
 
 use tiledec_cluster::sync::{lock_ignore_poison, wait_ignore_poison};
+use tiledec_mpeg2::block::MbCoeffs;
 use tiledec_mpeg2::decoder::{flush_picture_info, StreamSummary};
 use tiledec_mpeg2::motion::FrameRefs;
 use tiledec_mpeg2::recon::{MbSink, Reconstructor};
@@ -456,7 +457,7 @@ impl PipelineStats {
 /// the job queue closes. Returns total busy nanoseconds.
 fn vld_worker_loop(data: &[u8], plan: &Plan, jobs: &Queue<VldJob>, results: &Queue<Msg>) -> u64 {
     let mut busy = 0u64;
-    let mut scratch = Box::new([[0i32; 64]; 6]);
+    let mut scratch = MbCoeffs::default();
     while let Some(mut job) = jobs.pop() {
         let t = Instant::now();
         let Some(p) = plan.pictures.get(job.pic) else {
@@ -489,7 +490,7 @@ fn vld_worker_loop(data: &[u8], plan: &Plan, jobs: &Queue<VldJob>, results: &Que
 /// Recon worker: replays band jobs into packed band buffers until the
 /// job queue closes. Returns total busy nanoseconds.
 fn recon_worker_loop(plan: &Plan, jobs: &Queue<ReconJob>, results: &Queue<Msg>) -> u64 {
-    let mut scratch = Box::new([[0i32; 64]; 6]);
+    let mut scratch = MbCoeffs::default();
     let mut busy = 0u64;
     while let Some(job) = jobs.pop() {
         let ReconJob {

@@ -21,6 +21,7 @@ use std::cell::RefCell;
 
 use tiledec_bitstream::{BitReader, StartCode, StartCodeScanner};
 use tiledec_cluster::stats::TrafficMatrix;
+use tiledec_mpeg2::block::MbCoeffs;
 use tiledec_mpeg2::frame::Frame;
 use tiledec_mpeg2::headers;
 use tiledec_mpeg2::motion::{PlanePick, RefPick, ReferenceFetcher};
@@ -166,6 +167,7 @@ pub fn run_slice_level(
     let mut out_frames: Vec<Frame> = Vec::new();
     let frame_w = seq.mb_width() as usize * 16;
     let frame_h = mbh as usize * 16;
+    let mut coeffs = MbCoeffs::default();
 
     for &(start, end) in &index.units {
         let unit = &stream[start..end];
@@ -215,9 +217,9 @@ pub fn run_slice_level(
         // decoders use.
         let mut current = Frame::zeroed_tiled(frame_w, frame_h);
         {
-            let placeholder = Frame::zeroed(16, 16);
+            let placeholder = Frame::placeholder();
             let (fwd, bwd): (&Frame, &Frame) = match info.kind {
-                PictureKind::I => (&placeholder, &placeholder),
+                PictureKind::I => (placeholder, placeholder),
                 PictureKind::P => {
                     let f = next_ref
                         .as_ref()
@@ -258,7 +260,7 @@ pub fn run_slice_level(
                     sink: &mut sink,
                 };
                 let mut r = BitReader::at(unit, (off + 4) * 8);
-                parse_slice(&mut r, &ctx, row, &mut recon)?;
+                parse_slice(&mut r, &ctx, row, &mut recon, &mut coeffs)?;
             }
         }
 

@@ -17,6 +17,7 @@
 //!    decoder).
 
 use tiledec_bitstream::BitReader;
+use tiledec_mpeg2::block::MbCoeffs;
 use tiledec_mpeg2::frame::{Frame, FramePool};
 use tiledec_mpeg2::motion::{PlanePick, RefPick, ReferenceFetcher};
 use tiledec_mpeg2::recon::{MbSink, Reconstructor};
@@ -288,8 +289,7 @@ impl TileDecoder {
             .pool
             .acquire_zeroed_tiled(self.ext_rect.w as usize, self.ext_rect.h as usize);
         {
-            static PLACEHOLDER: std::sync::OnceLock<Frame> = std::sync::OnceLock::new();
-            let placeholder = PLACEHOLDER.get_or_init(|| Frame::zeroed(16, 16));
+            let placeholder = Frame::placeholder();
             let (fwd, bwd): (&Frame, &Frame) = match kind {
                 PictureKind::I => (placeholder, placeholder),
                 PictureKind::P => {
@@ -324,8 +324,9 @@ impl TileDecoder {
                 seq: &self.seq,
                 pic: &sp.info,
             };
+            let mut coeffs = MbCoeffs::default();
             for run in &sp.runs {
-                decode_run(run, &ctx, &mut recon)?;
+                decode_run(run, &ctx, &mut recon, &mut coeffs)?;
             }
         }
 
@@ -428,10 +429,11 @@ impl TileDecoder {
 }
 
 /// Decodes one partial-slice run through a visitor.
-fn decode_run(
+fn decode_run<V: SliceVisitor>(
     run: &crate::subpicture::PartialSlice,
     ctx: &SliceContext<'_>,
-    visitor: &mut impl SliceVisitor,
+    visitor: &mut V,
+    coeffs: &mut V::Coeffs,
 ) -> Result<()> {
     let mbw = ctx.mb_width();
     // Boundary skips before the coded payload.
@@ -471,15 +473,14 @@ fn decode_run(
     r.skip(run.skip_bits as usize)
         .map_err(tiledec_mpeg2::Error::from)?;
     let first_addr = run.row as u32 * mbw + run.first_coded_col as u32;
-    let mut blocks = [[0i32; 64]; 6];
     for i in 0..run.coded_count {
         let mode = if i == 0 {
             AddrMode::Forced(first_addr)
         } else {
             AddrMode::Continuation
         };
-        let meta = parse_one_macroblock(&mut r, ctx, &mut st, mode, &mut blocks)
-            .map_err(CoreError::Codec)?;
+        let meta =
+            parse_one_macroblock(&mut r, ctx, &mut st, mode, coeffs).map_err(CoreError::Codec)?;
         if meta.skipped_before > 0 {
             let m = skip_motion(ctx.pic.kind, &meta.entry_prev_motion)?;
             visitor.skipped(
@@ -489,7 +490,7 @@ fn decode_run(
                 &m,
             )?;
         }
-        visitor.macroblock(ctx, &meta, &blocks)?;
+        visitor.macroblock(ctx, &meta, coeffs)?;
     }
     // Boundary skips after the payload use the last coded macroblock's
     // prediction, which the walker tracked.

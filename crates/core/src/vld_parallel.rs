@@ -54,6 +54,7 @@ use std::time::{Duration, Instant};
 
 use tiledec_bitstream::{BitReader, StartCode, StartCodeIndex};
 use tiledec_cluster::sync::lock_ignore_poison;
+use tiledec_mpeg2::block::MbCoeffs;
 use tiledec_mpeg2::decoder::{Decoder, SliceExecutor, StreamSummary};
 use tiledec_mpeg2::headers;
 use tiledec_mpeg2::motion::FrameRefs;
@@ -446,7 +447,6 @@ struct Coordinator<'p> {
     ready: HashMap<(usize, usize), SliceRecording>,
     pics: HashMap<usize, PicState>,
     history: CostHistory,
-    scratch: Box<[[i32; 64]; 6]>,
     stats: VldStats,
 }
 
@@ -468,7 +468,6 @@ impl<'p> Coordinator<'p> {
             ready: HashMap::new(),
             pics: HashMap::new(),
             history: CostHistory::default(),
-            scratch: Box::new([[0i32; 64]; 6]),
             stats: VldStats {
                 workers,
                 ..VldStats::default()
@@ -575,11 +574,12 @@ impl<'p> Coordinator<'p> {
         ctx: &SliceContext<'_>,
         row: u32,
         recon: &mut Reconstructor<'_, FrameRefs<'_>, FrameSink<'_>>,
+        coeffs: &mut MbCoeffs,
         planned: Option<(usize, usize)>,
     ) -> tiledec_mpeg2::Result<()> {
         self.stats.fallback_slices += 1;
         let t = Instant::now();
-        let result = parse_slice(r, ctx, row, recon);
+        let result = parse_slice(r, ctx, row, recon, coeffs);
         let spent = t.elapsed().as_nanos() as u64;
         match planned {
             Some((pic, sidx)) => {
@@ -608,11 +608,12 @@ impl SliceExecutor for Coordinator<'_> {
         ctx: &SliceContext<'_>,
         row: u32,
         recon: &mut Reconstructor<'_, FrameRefs<'_>, FrameSink<'_>>,
+        coeffs: &mut MbCoeffs,
     ) -> tiledec_mpeg2::Result<()> {
         // The reader sits just past the 4-byte start code.
         let offset = (r.bit_position() / 8).saturating_sub(4);
         let Some((pic, sidx)) = self.plan.slice_at(offset) else {
-            return self.inline_fallback(r, ctx, row, recon, None);
+            return self.inline_fallback(r, ctx, row, recon, coeffs, None);
         };
         // Safety valve: the plan's header snapshot must match what the
         // live decoder folded; any divergence (exotic header ordering,
@@ -620,14 +621,14 @@ impl SliceExecutor for Coordinator<'_> {
         // slice to the sequential path.
         let snap = &self.plan.pictures[pic];
         if snap.seq != *ctx.seq || snap.info != *ctx.pic || snap.slices[sidx].row != row {
-            return self.inline_fallback(r, ctx, row, recon, Some((pic, sidx)));
+            return self.inline_fallback(r, ctx, row, recon, coeffs, Some((pic, sidx)));
         }
         self.dispatch_up_to(pic + LOOKAHEAD);
         let Some(rec) = self.wait_for(pic, sidx) else {
-            return self.inline_fallback(r, ctx, row, recon, Some((pic, sidx)));
+            return self.inline_fallback(r, ctx, row, recon, coeffs, Some((pic, sidx)));
         };
         let t = Instant::now();
-        let result = replay_slice(&rec, ctx, recon, &mut self.scratch);
+        let result = replay_slice(&rec, ctx, recon, coeffs);
         let spent = t.elapsed().as_nanos() as u64;
         self.history.update(ctx.pic.kind, row, rec.cost_ns());
         self.finish_slice(pic, sidx, rec.cost_ns(), spent);
@@ -839,7 +840,7 @@ fn worker_loop(
     res_tx: &Sender<RangeResult>,
 ) -> u64 {
     let mut busy = 0u64;
-    let mut scratch = Box::new([[0i32; 64]; 6]);
+    let mut scratch = MbCoeffs::default();
     loop {
         let job = match lock_ignore_poison(job_rx).recv() {
             Ok(j) => j,

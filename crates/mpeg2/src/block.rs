@@ -1,35 +1,169 @@
 //! Coefficient block parsing and writing (§7.2).
 //!
-//! Blocks move through the system as **quantised levels in raster order**
-//! (the scan is undone at parse time and re-applied at write time). For
-//! intra blocks the DC level at index 0 already includes the predictor, so
-//! dequantisation is purely local.
+//! The entropy decoder never materialises a dense block of levels: each
+//! decoded `(raster index, level)` — the scan is undone on the spot — goes
+//! straight to a [`CoeffSink`]. [`MbCoeffs`] dequantises it into a
+//! workspace that is all-zero between blocks and remembers which indices
+//! it touched, so the IDCT and the re-zeroing only look at what was
+//! decoded; [`Discard`] drops it, for walks that only want bit spans and
+//! motion. The intra DC level already includes the predictor, so
+//! dequantisation is purely local. The encoder still works on dense
+//! raster-order levels ([`write_block`], [`MbCoeffs::load_levels`]).
 
 use tiledec_bitstream::{BitReader, BitWriter};
 
+use crate::quant::Dequant;
 use crate::tables::dc_size::{decode_dc_differential, encode_dc_differential};
 use crate::tables::dct_coeff::{decode_coeff, encode_coeff, encode_eob, Coeff};
 use crate::tables::scan;
-use crate::{Error, Result};
+use crate::{dct, Error, Result};
 
-/// Parses one coded block into `levels` (raster order). `dc_pred` is the
-/// running DC predictor for this component and is updated in place (only
-/// for intra blocks).
-pub fn parse_block(
+/// Where [`parse_block`] sends coefficients as they leave the VLC:
+/// `begin_block`, one `coeff` per decoded level (distinct raster indices;
+/// index 0 of an intra block is the DC level, predictor included), then
+/// `end_block` at EOB. A walk that fails mid-block never sends
+/// `end_block`. The default methods discard.
+pub trait CoeffSink {
+    /// Opens block `i` of the macroblock (0–3 luma, 4 Cb, 5 Cr).
+    fn begin_block(&mut self, _i: usize) {}
+    /// Quantised `level` at raster index `idx`, to be dequantised by `q`.
+    fn coeff(&mut self, _q: &Dequant<'_>, _idx: usize, _level: i32) {}
+    /// End of block.
+    fn end_block(&mut self) {}
+}
+
+/// The parse-only sink: the bits are consumed, the coefficients dropped.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct Discard;
+
+impl CoeffSink for Discard {}
+
+/// The reconstructing sink: one macroblock's dequantised coefficient
+/// blocks plus, per block, a mask of the raster indices written.
+///
+/// A block whose mask is zero is all zero; inside a block every index
+/// outside the mask is zero; every value lies in `[-2048, 2047]`. Each
+/// coefficient is saturated before it enters the running mismatch sum and
+/// the §7.4.4 toggle of `[63]` happens at `end_block`, as the dense
+/// formulation orders them. Consumers hand a block back zeroed
+/// ([`idct_into`](Self::idct_into), [`drain_block`](Self::drain_block));
+/// one abandoned by a failed parse is wiped by its next `begin_block`.
+#[derive(Debug, Clone)]
+pub struct MbCoeffs {
+    blocks: [[i32; 64]; 6],
+    masks: [u64; 6],
+    cur: usize,
+    sum: i32,
+}
+
+impl Default for MbCoeffs {
+    fn default() -> Self {
+        MbCoeffs {
+            blocks: [[0; 64]; 6],
+            masks: [0; 6],
+            cur: 0,
+            sum: 0,
+        }
+    }
+}
+
+impl MbCoeffs {
+    /// Inverse-transforms block `i` into `out` with the cheapest IDCT its
+    /// mask allows ([`dct::idct_masked`]) and leaves the block zero.
+    #[inline]
+    pub fn idct_into(&mut self, i: usize, out: &mut [i32; 64]) {
+        dct::idct_masked(&mut self.blocks[i], std::mem::take(&mut self.masks[i]), out);
+    }
+
+    /// Hands every masked `(raster index, value)` of block `i` to `f` in
+    /// ascending index order and leaves the block zero. Returns the mask.
+    pub fn drain_block(&mut self, i: usize, mut f: impl FnMut(usize, i32)) -> u64 {
+        let mask = std::mem::take(&mut self.masks[i]);
+        let mut bits = mask;
+        while bits != 0 {
+            let idx = bits.trailing_zeros() as usize;
+            f(idx, std::mem::take(&mut self.blocks[i][idx]));
+            bits &= bits - 1;
+        }
+        mask
+    }
+
+    /// Inverse of [`drain_block`](Self::drain_block): refills block `i`
+    /// from a mask and its dequantised values in ascending index order.
+    pub fn load_block(&mut self, i: usize, mask: u64, values: &[i16]) {
+        self.begin_block(i);
+        self.masks[i] = mask;
+        let mut bits = mask;
+        for &v in values {
+            if bits == 0 {
+                break;
+            }
+            self.blocks[i][bits.trailing_zeros() as usize] = v as i32;
+            bits &= bits - 1;
+        }
+    }
+
+    /// Runs dense raster-order quantised `levels` through the sink as the
+    /// parser would have delivered them (the encoder's reconstruction).
+    pub fn load_levels(&mut self, q: &Dequant<'_>, i: usize, levels: &[i32; 64]) {
+        self.begin_block(i);
+        for (idx, &level) in levels.iter().enumerate() {
+            if level != 0 {
+                self.coeff(q, idx, level);
+            }
+        }
+        self.end_block();
+    }
+}
+
+impl CoeffSink for MbCoeffs {
+    #[inline]
+    fn begin_block(&mut self, i: usize) {
+        if self.masks[i] != 0 {
+            self.blocks[i] = [0; 64];
+            self.masks[i] = 0;
+        }
+        self.cur = i;
+        self.sum = 0;
+    }
+
+    #[inline]
+    fn coeff(&mut self, q: &Dequant<'_>, idx: usize, level: i32) {
+        let value = q.apply(idx, level);
+        self.blocks[self.cur][idx] = value;
+        self.masks[self.cur] |= 1 << idx;
+        self.sum += value;
+    }
+
+    #[inline]
+    fn end_block(&mut self) {
+        if self.sum & 1 == 0 {
+            // §7.4.4: an even sum toggles the LSB of F[7][7] (even → +1,
+            // odd → −1, which is XOR in two's complement).
+            self.blocks[self.cur][63] ^= 1;
+            self.masks[self.cur] |= 1 << 63;
+        }
+    }
+}
+
+/// Parses coded block `i` of a macroblock (0–3 luma, 4 Cb, 5 Cr) into
+/// `sink`. `dc_pred` is the running DC predictor for this component and
+/// is updated in place (only for intra blocks).
+pub fn parse_block<S: CoeffSink>(
     r: &mut BitReader<'_>,
-    intra: bool,
-    is_luma: bool,
+    q: &Dequant<'_>,
+    i: usize,
     alternate_scan: bool,
     dc_pred: &mut i32,
-    levels: &mut [i32; 64],
+    sink: &mut S,
 ) -> Result<()> {
-    levels.fill(0);
+    sink.begin_block(i);
     let scan_table = scan::scan(alternate_scan);
     let mut pos: usize;
-    if intra {
-        let diff = decode_dc_differential(r, is_luma)?;
+    if q.intra {
+        let diff = decode_dc_differential(r, i < 4)?;
         *dc_pred += diff;
-        levels[0] = *dc_pred;
+        sink.coeff(q, 0, *dc_pred);
         pos = 1;
     } else {
         // First coefficient cannot be EOB and uses the short run-0/±1 code.
@@ -40,20 +174,23 @@ pub fn parse_block(
                 if pos >= 64 {
                     return Err(Error::Syntax("coefficient run past end of block".into()));
                 }
-                levels[scan_table[pos] as usize] = level;
+                sink.coeff(q, scan_table[pos] as usize, level);
                 pos += 1;
             }
         }
     }
     loop {
         match decode_coeff(r, false)? {
-            Coeff::Eob => return Ok(()),
+            Coeff::Eob => {
+                sink.end_block();
+                return Ok(());
+            }
             Coeff::Run { run, level } => {
                 pos += run as usize;
                 if pos >= 64 {
                     return Err(Error::Syntax("coefficient run past end of block".into()));
                 }
-                levels[scan_table[pos] as usize] = level;
+                sink.coeff(q, scan_table[pos] as usize, level);
                 pos += 1;
             }
         }
@@ -114,6 +251,55 @@ pub fn write_block(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slice::SliceContext;
+    use crate::types::{PictureInfo, PictureKind, SequenceInfo};
+
+    fn seq() -> SequenceInfo {
+        SequenceInfo {
+            width: 16,
+            height: 16,
+            frame_rate_code: 5,
+            bit_rate_400: 0,
+            intra_quant_matrix: crate::tables::quant::DEFAULT_INTRA_MATRIX,
+            non_intra_quant_matrix: crate::tables::quant::DEFAULT_NON_INTRA_MATRIX,
+        }
+    }
+
+    fn pic() -> PictureInfo {
+        PictureInfo::new(PictureKind::P, 0, [[1, 1], [15, 15]])
+    }
+
+    /// Test sink keeping one block's raw quantised levels.
+    struct Levels([i32; 64]);
+
+    impl CoeffSink for Levels {
+        fn begin_block(&mut self, _i: usize) {
+            self.0 = [0; 64];
+        }
+        fn coeff(&mut self, _q: &Dequant<'_>, idx: usize, level: i32) {
+            self.0[idx] = level;
+        }
+    }
+
+    /// Parses one block back into dense raw levels.
+    fn parse_levels(
+        bytes: &[u8],
+        intra: bool,
+        i: usize,
+        alt: bool,
+        dc_pred: &mut i32,
+    ) -> Result<[i32; 64]> {
+        let (seq, pic) = (seq(), pic());
+        let ctx = SliceContext {
+            seq: &seq,
+            pic: &pic,
+        };
+        let q = Dequant::new(&ctx, intra, 4);
+        let mut r = BitReader::new(bytes);
+        let mut sink = Levels([0; 64]);
+        parse_block(&mut r, &q, i, alt, dc_pred, &mut sink)?;
+        Ok(sink.0)
+    }
 
     fn sparse_levels(seed: u64, density: u64) -> [i32; 64] {
         let mut s = seed.wrapping_mul(0x2545F4914F6CDD1D) | 1;
@@ -145,11 +331,7 @@ mod tests {
                     let mut w = BitWriter::new();
                     let mut dc = 0;
                     assert!(write_block(&mut w, false, true, alt, &mut dc, &levels));
-                    let bytes = w.into_bytes();
-                    let mut r = BitReader::new(&bytes);
-                    let mut out = [0i32; 64];
-                    let mut dc = 0;
-                    parse_block(&mut r, false, true, alt, &mut dc, &mut out).unwrap();
+                    let out = parse_levels(&w.into_bytes(), false, 0, alt, &mut 0).unwrap();
                     assert_eq!(out, levels, "seed={seed} density={density} alt={alt}");
                 }
             }
@@ -165,10 +347,8 @@ mod tests {
             levels[0] = 100 + (seed as i32 % 300); // DC is absolute
             let mut w = BitWriter::new();
             write_block(&mut w, true, seed % 2 == 0, false, &mut enc_pred, &levels);
-            let bytes = w.into_bytes();
-            let mut r = BitReader::new(&bytes);
-            let mut out = [0i32; 64];
-            parse_block(&mut r, true, seed % 2 == 0, false, &mut dec_pred, &mut out).unwrap();
+            let i = if seed % 2 == 0 { 0 } else { 4 };
+            let out = parse_levels(&w.into_bytes(), true, i, false, &mut dec_pred).unwrap();
             assert_eq!(out, levels, "seed={seed}");
             assert_eq!(enc_pred, dec_pred);
         }
@@ -190,11 +370,8 @@ mod tests {
         let mut w = BitWriter::new();
         let mut pred = 128;
         write_block(&mut w, true, true, false, &mut pred, &levels);
-        let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes);
-        let mut out = [0i32; 64];
         let mut pred = 128;
-        parse_block(&mut r, true, true, false, &mut pred, &mut out).unwrap();
+        let out = parse_levels(&w.into_bytes(), true, 0, false, &mut pred).unwrap();
         assert_eq!(out[0], 64);
         assert!(out[1..].iter().all(|&v| v == 0));
         assert_eq!(pred, 64);
@@ -206,11 +383,7 @@ mod tests {
         let mut w = BitWriter::new();
         encode_coeff(&mut w, true, 10, 5);
         encode_coeff(&mut w, false, 60, 5);
-        let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes);
-        let mut out = [0i32; 64];
-        let mut dc = 0;
-        assert!(parse_block(&mut r, false, true, false, &mut dc, &mut out).is_err());
+        assert!(parse_levels(&w.into_bytes(), false, 0, false, &mut 0).is_err());
     }
 
     #[test]
@@ -224,5 +397,97 @@ mod tests {
         write_block(&mut w_zig, false, true, false, &mut dc, &levels);
         write_block(&mut w_alt, false, true, true, &mut dc, &levels);
         assert_ne!(w_zig.into_bytes(), w_alt.into_bytes());
+    }
+
+    #[test]
+    fn mismatch_control_makes_sum_odd() {
+        let (seq, pic) = (seq(), pic());
+        let ctx = SliceContext {
+            seq: &seq,
+            pic: &pic,
+        };
+        let q = Dequant::new(&ctx, false, 2);
+        for (idx, level) in [(0usize, 2), (10, 4), (63, 1), (63, -1), (5, 3)] {
+            let mut levels = [0i32; 64];
+            levels[idx] = level;
+            let mut ws = MbCoeffs::default();
+            ws.load_levels(&q, 2, &levels);
+            let mut sum = 0;
+            let mask = ws.drain_block(2, |i, v| {
+                assert_ne!(v, 0, "mask bit {i} over a zero");
+                sum += v;
+            });
+            assert_ne!(mask, 0);
+            assert_eq!(sum.rem_euclid(2), 1, "idx={idx} level={level}");
+        }
+    }
+
+    #[test]
+    fn workspace_is_zero_again_after_every_consumer() {
+        let (seq, pic) = (seq(), pic());
+        let ctx = SliceContext {
+            seq: &seq,
+            pic: &pic,
+        };
+        let q = Dequant::new(&ctx, false, 2);
+        let mut ws = MbCoeffs::default();
+        for seed in 1..40u64 {
+            let mut levels = sparse_levels(seed, [3, 10, 40][seed as usize % 3]);
+            levels[seed as usize % 8] = 9; // never empty
+            let i = seed as usize % 6;
+            ws.load_levels(&q, i, &levels);
+            let mut out = [0i32; 64];
+            if seed % 2 == 0 {
+                ws.idct_into(i, &mut out);
+            } else {
+                ws.drain_block(i, |_, _| {});
+            }
+            assert_eq!(ws.masks, [0; 6], "seed={seed}");
+            assert_eq!(ws.blocks, [[0; 64]; 6], "seed={seed}");
+        }
+    }
+
+    #[test]
+    fn abandoned_block_is_wiped_by_the_next_begin() {
+        let (seq, pic) = (seq(), pic());
+        let ctx = SliceContext {
+            seq: &seq,
+            pic: &pic,
+        };
+        let q = Dequant::new(&ctx, false, 2);
+        let mut ws = MbCoeffs::default();
+        // A parse that dies mid-block: coefficients in, no end_block.
+        ws.begin_block(1);
+        ws.coeff(&q, 40, 17);
+        ws.coeff(&q, 41, -3);
+        let mut levels = [0i32; 64];
+        levels[0] = 5;
+        ws.load_levels(&q, 1, &levels);
+        let mut seen = Vec::new();
+        ws.drain_block(1, |i, v| seen.push((i, v)));
+        // (2*5+1)*16*4/32 = 22, even, so mismatch control adds [63] = 1.
+        assert_eq!(seen, vec![(0, 22), (63, 1)]);
+    }
+
+    #[test]
+    fn drain_then_load_round_trips() {
+        let (seq, pic) = (seq(), pic());
+        let ctx = SliceContext {
+            seq: &seq,
+            pic: &pic,
+        };
+        let q = Dequant::new(&ctx, true, 7);
+        let mut ws = MbCoeffs::default();
+        for seed in 1..30u64 {
+            let levels = sparse_levels(seed, 25);
+            ws.load_levels(&q, 3, &levels);
+            let dense = ws.blocks[3];
+            let mut values = Vec::new();
+            let mask = ws.drain_block(3, |_, v| values.push(v as i16));
+            ws.load_block(5, mask, &values);
+            assert_eq!(ws.masks[5], mask);
+            assert_eq!(ws.blocks[5], dense, "seed={seed}");
+            ws.drain_block(5, |_, _| {});
+        }
     }
 }

@@ -18,29 +18,65 @@ const W5: i64 = 1609; // 2048*sqrt(2)*cos(5*pi/16)
 const W6: i64 = 1108; // 2048*sqrt(2)*cos(6*pi/16)
 const W7: i64 = 565; //  2048*sqrt(2)*cos(7*pi/16)
 
-/// In-place fixed-point inverse DCT of an 8×8 block in raster order.
-/// Output values are clamped to `[-256, 255]`.
+/// Inverse DCT of a dequantised block, chosen by what the entropy decoder
+/// produced: every raster index of `block` outside `mask` is zero and
+/// every coefficient lies in the dequantiser's `[-2048, 2047]`. Writes
+/// the spatial block to `out` and leaves `block` all zero.
 ///
-/// Dispatches to the fastest [`crate::kernels`] implementation available
-/// on this host; every implementation is bit-exact with
-/// [`idct_scalar`], so the choice never affects decoder output.
-#[inline]
-pub fn idct(block: &mut [i32; 64]) {
-    (crate::kernels::active().idct)(block)
+/// Bit-exact with [`idct_scalar`] by that definition's own zero-AC rule:
+///
+/// * **Row 0 only** (DC-only included): rows 1–7 stay zero through the row
+///   pass, so every column takes the zero-AC shortcut — the block is row
+///   0's transform, rounded once, repeated down all rows.
+/// * **Row 0 plus a mismatch-control `±1` at `[63]`**: row 7 is one of two
+///   fixed vectors and every column sees `(t0, 0, …, 0, t7)`. The column
+///   butterfly only ever *adds* its DC term to sums of AC terms, so each
+///   output is `((t0 << 8) + S[r][c]) >> 14` with `S` a constant table per
+///   sign of the toggle (`MISMATCH_SUMS`).
+/// * Anything else: the active kernel set's full transform, through its
+///   range-guaranteed entry.
+pub fn idct_masked(block: &mut [i32; 64], mask: u64, out: &mut [i32; 64]) {
+    const ROW0: u64 = 0xFF;
+    const LAST: u64 = 1 << 63;
+    let below_row0 = mask & !ROW0;
+    if below_row0 == 0 || (below_row0 == LAST && block[63].abs() == 1) {
+        let mut row0 = [0i32; 8];
+        row0.copy_from_slice(&block[..8]);
+        let row0 = idct_row(row0);
+        if below_row0 == 0 {
+            let flat = row0.map(|t| ((t + 32) >> 6).clamp(-256, 255));
+            for row in out.chunks_exact_mut(8) {
+                row.copy_from_slice(&flat);
+            }
+        } else {
+            let sums = &MISMATCH_SUMS[(block[63] < 0) as usize];
+            for (i, (o, s)) in out.iter_mut().zip(sums).enumerate() {
+                *o = (((row0[i % 8] << 8) + s) >> 14).clamp(-256, 255);
+            }
+            block[63] = 0;
+        }
+        block[..8].fill(0);
+    } else {
+        *out = *block;
+        block.fill(0);
+        (crate::kernels::active().idct_in_range)(out);
+    }
 }
 
 /// The portable scalar IDCT — the bit-exactness reference every SIMD
 /// kernel is property-tested against.
 pub fn idct_scalar(block: &mut [i32; 64]) {
-    for row in 0..8 {
-        idct_row(&mut block[row * 8..row * 8 + 8]);
+    for row in block.chunks_exact_mut(8) {
+        let mut r = [0i32; 8];
+        r.copy_from_slice(row);
+        row.copy_from_slice(&idct_row(r));
     }
     for col in 0..8 {
         idct_col(block, col);
     }
 }
 
-fn idct_row(blk: &mut [i32]) {
+const fn idct_row(blk: [i32; 8]) -> [i32; 8] {
     let mut x1 = (blk[4] as i64) << 11;
     let mut x2 = blk[6] as i64;
     let mut x3 = blk[2] as i64;
@@ -50,9 +86,7 @@ fn idct_row(blk: &mut [i32]) {
     let mut x7 = blk[3] as i64;
 
     if x1 | x2 | x3 | x4 | x5 | x6 | x7 == 0 {
-        let v = blk[0] << 3;
-        blk.iter_mut().for_each(|b| *b = v);
-        return;
+        return [blk[0] << 3; 8];
     }
 
     let mut x0 = ((blk[0] as i64) << 11) + 128;
@@ -85,14 +119,16 @@ fn idct_row(blk: &mut [i32]) {
     x4 = (181 * (x4 - x5) + 128) >> 8;
 
     // fourth stage
-    blk[0] = ((x7 + x1) >> 8) as i32;
-    blk[1] = ((x3 + x2) >> 8) as i32;
-    blk[2] = ((x0 + x4) >> 8) as i32;
-    blk[3] = ((x8 + x6) >> 8) as i32;
-    blk[4] = ((x8 - x6) >> 8) as i32;
-    blk[5] = ((x0 - x4) >> 8) as i32;
-    blk[6] = ((x3 - x2) >> 8) as i32;
-    blk[7] = ((x7 - x1) >> 8) as i32;
+    [
+        ((x7 + x1) >> 8) as i32,
+        ((x3 + x2) >> 8) as i32,
+        ((x0 + x4) >> 8) as i32,
+        ((x8 + x6) >> 8) as i32,
+        ((x8 - x6) >> 8) as i32,
+        ((x0 - x4) >> 8) as i32,
+        ((x3 - x2) >> 8) as i32,
+        ((x7 - x1) >> 8) as i32,
+    ]
 }
 
 #[inline]
@@ -100,26 +136,17 @@ fn clamp256(v: i64) -> i32 {
     v.clamp(-256, 255) as i32
 }
 
-fn idct_col(block: &mut [i32; 64], col: usize) {
-    let b = |i: usize| block[i * 8 + col] as i64;
-
-    let mut x1 = b(4) << 8;
-    let mut x2 = b(6);
-    let mut x3 = b(2);
-    let mut x4 = b(1);
-    let mut x5 = b(7);
-    let mut x6 = b(5);
-    let mut x7 = b(3);
-
-    if x1 | x2 | x3 | x4 | x5 | x6 | x7 == 0 {
-        let v = clamp256((b(0) + 32) >> 6);
-        for i in 0..8 {
-            block[i * 8 + col] = v;
-        }
-        return;
-    }
-
-    let mut x0 = (b(0) << 8) + 8192;
+/// The column butterfly up to, but not including, the final `>> 14`:
+/// output row `r` of the column is `clamp256(col_sums(b)[r] >> 14)`.
+const fn col_sums(b: [i64; 8]) -> [i64; 8] {
+    let mut x0 = (b[0] << 8) + 8192;
+    let mut x1 = b[4] << 8;
+    let mut x2 = b[6];
+    let mut x3 = b[2];
+    let mut x4 = b[1];
+    let mut x5 = b[7];
+    let mut x6 = b[5];
+    let mut x7 = b[3];
 
     // first stage
     let mut x8 = W7 * (x4 + x5) + 4;
@@ -149,14 +176,51 @@ fn idct_col(block: &mut [i32; 64], col: usize) {
     x4 = (181 * (x4 - x5) + 128) >> 8;
 
     // fourth stage
-    block[col] = clamp256((x7 + x1) >> 14);
-    block[8 + col] = clamp256((x3 + x2) >> 14);
-    block[16 + col] = clamp256((x0 + x4) >> 14);
-    block[24 + col] = clamp256((x8 + x6) >> 14);
-    block[32 + col] = clamp256((x8 - x6) >> 14);
-    block[40 + col] = clamp256((x0 - x4) >> 14);
-    block[48 + col] = clamp256((x3 - x2) >> 14);
-    block[56 + col] = clamp256((x7 - x1) >> 14);
+    [
+        x7 + x1,
+        x3 + x2,
+        x0 + x4,
+        x8 + x6,
+        x8 - x6,
+        x0 - x4,
+        x3 - x2,
+        x7 - x1,
+    ]
+}
+
+fn idct_col(block: &mut [i32; 64], col: usize) {
+    let b: [i64; 8] = std::array::from_fn(|i| block[i * 8 + col] as i64);
+    if b[1] | b[2] | b[3] | b[4] | b[5] | b[6] | b[7] == 0 {
+        let v = clamp256((b[0] + 32) >> 6);
+        for i in 0..8 {
+            block[i * 8 + col] = v;
+        }
+        return;
+    }
+    for (i, s) in col_sums(b).into_iter().enumerate() {
+        block[i * 8 + col] = clamp256(s >> 14);
+    }
+}
+
+/// Pre-shift column sums of a block whose only coefficient is `[63] = +1`
+/// (index 0) or `-1` (index 1), raster order: what mismatch control adds
+/// under a block that is otherwise confined to row 0. See [`idct_masked`].
+const MISMATCH_SUMS: [[i32; 64]; 2] = [mismatch_sums(1), mismatch_sums(-1)];
+
+const fn mismatch_sums(toggle: i32) -> [i32; 64] {
+    let row7 = idct_row([0, 0, 0, 0, 0, 0, 0, toggle]);
+    let mut out = [0i32; 64];
+    let mut c = 0;
+    while c < 8 {
+        let sums = col_sums([0, 0, 0, 0, 0, 0, 0, row7[c] as i64]);
+        let mut r = 0;
+        while r < 8 {
+            out[r * 8 + c] = sums[r] as i32;
+            r += 1;
+        }
+        c += 1;
+    }
+    out
 }
 
 /// Double-precision reference inverse DCT (raster order input and output,
@@ -235,6 +299,11 @@ pub fn fdct(samples: &[i32; 64]) -> [i32; 64] {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The transform as the active kernel set runs it.
+    fn idct(block: &mut [i32; 64]) {
+        (crate::kernels::active().idct)(block)
+    }
 
     fn random_block(seed: u64, range: i32) -> [i32; 64] {
         // xorshift so the test needs no external RNG.

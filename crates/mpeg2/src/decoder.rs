@@ -8,7 +8,8 @@ use std::time::Instant;
 
 use tiledec_bitstream::{BitReader, StartCode, StartCodeScanner};
 
-use crate::frame::Frame;
+use crate::block::MbCoeffs;
+use crate::frame::{Frame, FramePool};
 use crate::headers;
 use crate::motion::FrameRefs;
 use crate::recon::{FrameSink, Reconstructor};
@@ -32,7 +33,8 @@ pub struct StreamSummary {
 /// after the usual structural checks (sequence/picture headers present,
 /// coding extension parsed, references available), with the reader
 /// positioned right after the start code and a [`Reconstructor`] wired to
-/// the current picture and its reference frames.
+/// the current picture and its reference frames, plus the decoder's
+/// coefficient workspace for the walk to fill and `recon` to drain.
 ///
 /// The sequential path ([`InlineSlices`]) parses and reconstructs in one
 /// interleaved walk. The slice-parallel VLD layer in `tiledec-core`
@@ -50,6 +52,7 @@ pub trait SliceExecutor {
         ctx: &SliceContext<'_>,
         row: u32,
         recon: &mut Reconstructor<'_, FrameRefs<'_>, FrameSink<'_>>,
+        coeffs: &mut MbCoeffs,
     ) -> Result<()>;
 }
 
@@ -63,14 +66,17 @@ impl SliceExecutor for InlineSlices {
         ctx: &SliceContext<'_>,
         row: u32,
         recon: &mut Reconstructor<'_, FrameRefs<'_>, FrameSink<'_>>,
+        coeffs: &mut MbCoeffs,
     ) -> Result<()> {
-        parse_slice(r, ctx, row, recon)
+        parse_slice(r, ctx, row, recon, coeffs)
     }
 }
 
 /// Streaming decoder state. Frames are delivered in **display order**
 /// through the sink callback; reference frames are the only pictures kept
-/// in memory.
+/// in memory, and a frame that leaves the reference window (or a B frame
+/// once displayed) is recycled for the next picture, so at most three
+/// picture buffers ever exist, live or pooled.
 pub struct Decoder {
     seq: Option<SequenceInfo>,
     prev_ref: Option<Frame>,
@@ -78,6 +84,8 @@ pub struct Decoder {
     /// (info, frame, coding-extension parsed, any slice decoded)
     current: Option<(PictureInfo, Frame, bool, bool)>,
     pictures: usize,
+    pool: FramePool,
+    coeffs: MbCoeffs,
 }
 
 impl Default for Decoder {
@@ -95,6 +103,8 @@ impl Decoder {
             next_ref: None,
             current: None,
             pictures: 0,
+            pool: FramePool::new(),
+            coeffs: MbCoeffs::default(),
         }
     }
 
@@ -137,15 +147,14 @@ impl Decoder {
                 StartCode::EXTENSION => {
                     let id = r.read_bits(4)?;
                     if id == headers::EXT_ID_SEQUENCE {
-                        let seq = self
-                            .seq
-                            .as_mut()
-                            .ok_or(Error::Syntax("sequence extension before header".into()))?;
+                        let seq = self.seq.as_mut().ok_or_else(|| {
+                            Error::Syntax("sequence extension before header".into())
+                        })?;
                         headers::parse_sequence_extension(&mut r, seq)?;
                     } else if id == headers::EXT_ID_PICTURE_CODING {
-                        let (info, _, ext, _) = self.current.as_mut().ok_or(Error::Syntax(
-                            "picture coding extension without picture".into(),
-                        ))?;
+                        let (info, _, ext, _) = self.current.as_mut().ok_or_else(|| {
+                            Error::Syntax("picture coding extension without picture".into())
+                        })?;
                         headers::parse_picture_coding_extension(&mut r, info)?;
                         *ext = true;
                     }
@@ -160,7 +169,7 @@ impl Decoder {
                     let seq = self
                         .seq
                         .as_ref()
-                        .ok_or(Error::Syntax("picture before sequence header".into()))?;
+                        .ok_or_else(|| Error::Syntax("picture before sequence header".into()))?;
                     let info = headers::parse_picture_header(&mut r)?;
                     // Row-major, deliberately: the sequential decoder's hot
                     // loop is interpolated prediction, whose 17x17 half-pel
@@ -169,8 +178,10 @@ impl Decoder {
                     // zero-copy interior borrow. Tiled frames pay off in the
                     // cluster paths (tile_decoder/slice_level) where halo
                     // exchange and recon stores move whole aligned blocks.
-                    let frame =
-                        Frame::zeroed(seq.mb_width() as usize * 16, seq.mb_height() as usize * 16);
+                    let frame = self.pool.acquire_zeroed(
+                        seq.mb_width() as usize * 16,
+                        seq.mb_height() as usize * 16,
+                    );
                     self.current = Some((info, frame, false, false));
                 }
                 StartCode::SEQUENCE_END => {
@@ -191,6 +202,9 @@ impl Decoder {
             }
         }
         self.finish_picture(&mut on_frame)?;
+        // No picture follows, so no buffer is worth keeping: a sink that
+        // collects frames peaks in memory at the flush below.
+        self.pool = FramePool::new();
         // Flush the last held reference frame.
         if let Some(last) = self.next_ref.take() {
             // Its PictureInfo is gone; synthesise a minimal one for the sink.
@@ -199,7 +213,7 @@ impl Decoder {
         let seq = self
             .seq
             .clone()
-            .ok_or(Error::Syntax("no sequence header in stream".into()))?;
+            .ok_or_else(|| Error::Syntax("no sequence header in stream".into()))?;
         Ok(StreamSummary {
             seq,
             pictures: self.pictures,
@@ -215,12 +229,12 @@ impl Decoder {
         let seq = self
             .seq
             .as_ref()
-            .ok_or(Error::Syntax("slice before sequence header".into()))?;
+            .ok_or_else(|| Error::Syntax("slice before sequence header".into()))?;
         // Take the picture out of `self` so reference borrows stay disjoint.
         let mut cur = self
             .current
             .take()
-            .ok_or(Error::Syntax("slice before picture header".into()))?;
+            .ok_or_else(|| Error::Syntax("slice before picture header".into()))?;
         let result = (|| {
             let (info, frame, ext, any_slice) = (&cur.0, &mut cur.1, cur.2, &mut cur.3);
             if !ext {
@@ -228,30 +242,16 @@ impl Decoder {
                     "slice before picture coding extension".into(),
                 ));
             }
-            match info.kind {
-                PictureKind::I => {}
-                PictureKind::P => {
-                    if self.next_ref.is_none() {
-                        return Err(Error::Syntax("P picture without a reference".into()));
-                    }
+            let (fwd, bwd) = match (info.kind, &self.prev_ref, &self.next_ref) {
+                (PictureKind::I, _, _) => (Frame::placeholder(), Frame::placeholder()),
+                (PictureKind::P, _, Some(f)) => (f, f),
+                (PictureKind::B, Some(f), Some(b)) => (f, b),
+                (PictureKind::P, ..) => {
+                    return Err(Error::Syntax("P picture without a reference".into()))
                 }
-                PictureKind::B => {
-                    if self.next_ref.is_none() || self.prev_ref.is_none() {
-                        return Err(Error::Syntax("B picture without two references".into()));
-                    }
+                (PictureKind::B, ..) => {
+                    return Err(Error::Syntax("B picture without two references".into()))
                 }
-            }
-            let placeholder = Frame::zeroed(16, 16);
-            let (fwd, bwd) = match info.kind {
-                PictureKind::B => (
-                    self.prev_ref.as_ref().unwrap(),
-                    self.next_ref.as_ref().unwrap(),
-                ),
-                PictureKind::P => {
-                    let f = self.next_ref.as_ref().unwrap();
-                    (f, f)
-                }
-                PictureKind::I => (&placeholder, &placeholder),
             };
             let refs = FrameRefs { fwd, bwd };
             let mut sink = FrameSink { frame };
@@ -260,7 +260,7 @@ impl Decoder {
                 sink: &mut sink,
             };
             let ctx = SliceContext { seq, pic: info };
-            exec.run_slice(r, &ctx, (code - 1) as u32, &mut recon)?;
+            exec.run_slice(r, &ctx, (code - 1) as u32, &mut recon, &mut self.coeffs)?;
             *any_slice = true;
             Ok(())
         })();
@@ -281,14 +281,18 @@ impl Decoder {
         match info.kind {
             PictureKind::B => {
                 on_frame(&frame, &info);
+                self.pool.release(frame);
             }
             _ => {
                 // A new reference releases the previously held one for
                 // display; the released frame stays around as the forward
-                // reference for upcoming B pictures.
+                // reference for upcoming B pictures, and the one it
+                // displaces becomes the next picture's buffer.
                 if let Some(released) = self.next_ref.take() {
                     on_frame(&released, &info);
-                    self.prev_ref = Some(released);
+                    if let Some(retired) = self.prev_ref.replace(released) {
+                        self.pool.release(retired);
+                    }
                 }
                 self.next_ref = Some(frame);
             }

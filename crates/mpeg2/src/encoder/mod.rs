@@ -17,10 +17,11 @@ pub use ratecontrol::RateController;
 
 use tiledec_bitstream::BitWriter;
 
+use crate::block::MbCoeffs;
 use crate::frame::Frame;
 use crate::headers;
 use crate::motion::{predict, FrameRefs, PlanePick, RefPick};
-use crate::quant::{quant_intra, quant_non_intra};
+use crate::quant::{quant_intra, quant_non_intra, Dequant};
 use crate::recon::{FrameSink, Reconstructor};
 use crate::slice::{
     skip_motion, write_slice_header, MbMeta, MbMotion, PredictorState, SliceContext, SliceVisitor,
@@ -331,6 +332,7 @@ impl Encoder {
                 hint: [MotionVector::ZERO; 2],
                 kind,
                 cmv_ref: if cmv { next_recon } else { None },
+                coeffs: MbCoeffs::default(),
             };
             write_slice_header(pe.w, row, base_q);
             for col in 0..mbw {
@@ -386,6 +388,8 @@ struct PictureEncoder<'a> {
     /// reference frame in coding order); `None` disables them or falls
     /// back to zero vectors when no reference exists yet.
     cmv_ref: Option<&'a Frame>,
+    /// Workspace the decoder-identical reconstruction dequantises into.
+    coeffs: MbCoeffs,
 }
 
 /// A fully decided macroblock, ready to write.
@@ -527,7 +531,13 @@ impl PictureEncoder<'_> {
             refs: &refs,
             sink: &mut sink,
         };
-        recon.macroblock(self.ctx, &meta, &plan.blocks)?;
+        let q = Dequant::new(self.ctx, flags.intra, effective_q);
+        for i in 0..6 {
+            if plan.cbp & (1 << (5 - i)) != 0 {
+                self.coeffs.load_levels(&q, i, &plan.blocks[i]);
+            }
+        }
+        recon.macroblock(self.ctx, &meta, &mut self.coeffs)?;
         Ok(())
     }
 

@@ -860,6 +860,14 @@ impl Frame {
         }
     }
 
+    /// A shared 16×16 all-zero frame for the reference slots of intra
+    /// pictures, which are wired up but never read. Allocated once per
+    /// process.
+    pub fn placeholder() -> &'static Frame {
+        static PLACEHOLDER: std::sync::OnceLock<Frame> = std::sync::OnceLock::new();
+        PLACEHOLDER.get_or_init(|| Frame::zeroed(16, 16))
+    }
+
     /// True when the frame's planes use tiled storage.
     pub fn is_tiled(&self) -> bool {
         self.y.is_tiled()

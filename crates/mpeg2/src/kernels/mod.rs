@@ -35,6 +35,12 @@ pub struct KernelSet {
     pub name: &'static str,
     /// In-place 8×8 inverse DCT, bit-exact with [`crate::dct::idct_scalar`].
     pub idct: fn(&mut [i32; 64]),
+    /// [`idct`](Self::idct) for callers that guarantee every coefficient
+    /// lies in the dequantiser's saturation range `[-2048, 2047]`, which
+    /// is what lets the SIMD sets run in 32-bit lanes without scanning
+    /// the block first. Outside that range the result is unspecified
+    /// (lanes wrap) but the call stays memory-safe.
+    pub idct_in_range: fn(&mut [i32; 64]),
     /// Full-pel prediction: row-wise copy of `size × size` pixels.
     pub mc_copy: fn(src: &[u8], src_stride: usize, dst: &mut [u8], size: usize),
     /// Horizontal half-pel average: `(a + b + 1) >> 1` of each pixel and
@@ -69,6 +75,7 @@ pub struct KernelSet {
 pub static SCALAR: KernelSet = KernelSet {
     name: "scalar",
     idct: crate::dct::idct_scalar,
+    idct_in_range: crate::dct::idct_scalar,
     mc_copy: scalar::mc_copy,
     mc_avg_h: scalar::mc_avg_h,
     mc_avg_v: scalar::mc_avg_v,

@@ -37,6 +37,7 @@ use core::arch::x86_64::*;
 pub static SSE2: KernelSet = KernelSet {
     name: "sse2",
     idct: idct_sse2,
+    idct_in_range: idct_sse2_in_range,
     mc_copy: scalar::mc_copy,
     mc_avg_h: mc_avg_h_sse2,
     mc_avg_v: mc_avg_v_sse2,
@@ -55,6 +56,7 @@ pub static SSE2: KernelSet = KernelSet {
 pub static AVX2: KernelSet = KernelSet {
     name: "avx2",
     idct: idct_avx2,
+    idct_in_range: idct_avx2_in_range,
     mc_copy: scalar::mc_copy,
     mc_avg_h: mc_avg_h_sse2,
     mc_avg_v: mc_avg_v_sse2,
@@ -93,6 +95,12 @@ fn idct_sse2(block: &mut [i32; 64]) {
     if !idct_in_range(block) {
         return crate::dct::idct_scalar(block);
     }
+    idct_sse2_in_range(block)
+}
+
+/// SSE2 IDCT without the range scan: the caller vouches for
+/// `[-2048, 2047]` (out-of-range input wraps lanes, nothing worse).
+fn idct_sse2_in_range(block: &mut [i32; 64]) {
     // SAFETY: SSE2 is part of the x86-64 baseline feature set.
     unsafe { sse2v::idct(block) }
 }
@@ -101,6 +109,11 @@ fn idct_avx2(block: &mut [i32; 64]) {
     if !idct_in_range(block) {
         return crate::dct::idct_scalar(block);
     }
+    idct_avx2_in_range(block)
+}
+
+/// AVX2 IDCT without the range scan; see [`idct_sse2_in_range`].
+fn idct_avx2_in_range(block: &mut [i32; 64]) {
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 availability checked on the line above.
         unsafe { avx2v::idct(block) }

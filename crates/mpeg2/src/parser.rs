@@ -11,6 +11,7 @@
 
 use tiledec_bitstream::{BitReader, StartCode, StartCodeScanner};
 
+use crate::block::Discard;
 use crate::headers;
 use crate::slice::{parse_slice, MbMeta, MbMotion, SliceContext, SliceVisitor};
 use crate::types::{PictureInfo, SequenceInfo};
@@ -73,6 +74,8 @@ struct RecordingVisitor {
 }
 
 impl SliceVisitor for RecordingVisitor {
+    type Coeffs = Discard;
+
     fn skipped(
         &mut self,
         _ctx: &SliceContext<'_>,
@@ -92,7 +95,7 @@ impl SliceVisitor for RecordingVisitor {
         &mut self,
         _ctx: &SliceContext<'_>,
         meta: &MbMeta,
-        _blocks: &[[i32; 64]; 6],
+        _coeffs: &mut Discard,
     ) -> Result<()> {
         self.mbs.push(meta.clone());
         Ok(())
@@ -120,7 +123,7 @@ pub fn parse_picture(data: &[u8], seq: &SequenceInfo) -> Result<ParsedPicture> {
                 if id == headers::EXT_ID_PICTURE_CODING {
                     let info = info
                         .as_mut()
-                        .ok_or(Error::Syntax("extension before picture header".into()))?;
+                        .ok_or_else(|| Error::Syntax("extension before picture header".into()))?;
                     headers::parse_picture_coding_extension(&mut r, info)?;
                     ext = true;
                 }
@@ -129,7 +132,7 @@ pub fn parse_picture(data: &[u8], seq: &SequenceInfo) -> Result<ParsedPicture> {
             c if (StartCode::SLICE_MIN..=StartCode::SLICE_MAX).contains(&c) => {
                 let info = info
                     .as_ref()
-                    .ok_or(Error::Syntax("slice before picture header".into()))?;
+                    .ok_or_else(|| Error::Syntax("slice before picture header".into()))?;
                 if !ext {
                     return Err(Error::Syntax(
                         "slice before picture coding extension".into(),
@@ -140,7 +143,7 @@ pub fn parse_picture(data: &[u8], seq: &SequenceInfo) -> Result<ParsedPicture> {
                     mbs: Vec::new(),
                     skips: Vec::new(),
                 };
-                parse_slice(&mut r, &ctx, (c - 1) as u32, &mut v)?;
+                parse_slice(&mut r, &ctx, (c - 1) as u32, &mut v, &mut Discard)?;
                 slices.push(ParsedSlice {
                     row: (c - 1) as u32,
                     mbs: v.mbs,
@@ -155,7 +158,7 @@ pub fn parse_picture(data: &[u8], seq: &SequenceInfo) -> Result<ParsedPicture> {
             }
         }
     }
-    let info = info.ok_or(Error::Syntax("no picture header in unit".into()))?;
+    let info = info.ok_or_else(|| Error::Syntax("no picture header in unit".into()))?;
     Ok(ParsedPicture {
         info,
         slices,

@@ -1,4 +1,11 @@
 //! Inverse quantisation (§7.4) and the encoder's forward quantisation.
+//!
+//! Decoding dequantises one coefficient at a time, inside the entropy
+//! decoder's block loop ([`Dequant`]); the dense whole-block formulation
+//! survives only as the oracle in `tests/common`.
+
+use crate::slice::SliceContext;
+use crate::tables::quant::quantiser_scale;
 
 /// Intra-DC multiplier for an `intra_dc_precision` of 0–3 (8–11 bits).
 pub fn intra_dc_mult(precision: u8) -> i32 {
@@ -11,55 +18,49 @@ pub fn intra_dc_mult(precision: u8) -> i32 {
     }
 }
 
-/// Inverse-quantises an intra block. `levels` holds quantised values in
-/// raster order (DC at index 0 already includes the predictor). Applies
-/// saturation and mismatch control (§7.4.3, §7.4.4).
-pub fn dequant_intra(
-    levels: &[i32; 64],
-    matrix: &[u8; 64],
-    scale: u16,
-    dc_precision: u8,
-) -> [i32; 64] {
-    let mut out = [0i32; 64];
-    out[0] = (levels[0] * intra_dc_mult(dc_precision)).clamp(-2048, 2047);
-    let mut sum = out[0];
-    for i in 1..64 {
-        let f = (2 * levels[i]) * matrix[i] as i32 * scale as i32 / 32;
-        let f = f.clamp(-2048, 2047);
-        out[i] = f;
-        sum += f;
-    }
-    mismatch_control(&mut out, sum);
-    out
+/// Inverse-quantisation parameters of one macroblock (§7.4): everything
+/// needed to turn a quantised level into a saturated coefficient the
+/// moment it leaves the VLC. Coefficient sinks ([`crate::block::CoeffSink`])
+/// receive it with every level; the running mismatch sum (§7.4.4) is the
+/// sink's job because it spans a whole block.
+#[derive(Debug, Clone, Copy)]
+pub struct Dequant<'a> {
+    /// True for intra macroblocks (DC multiplier, no sign bias on AC).
+    pub intra: bool,
+    matrix: &'a [u8; 64],
+    scale: i32,
+    dc_mult: i32,
 }
 
-/// Inverse-quantises a non-intra block.
-pub fn dequant_non_intra(levels: &[i32; 64], matrix: &[u8; 64], scale: u16) -> [i32; 64] {
-    let mut out = [0i32; 64];
-    let mut sum = 0i32;
-    for i in 0..64 {
-        let q = levels[i];
-        if q == 0 {
-            continue;
+impl<'a> Dequant<'a> {
+    /// Parameters for a macroblock of `ctx`'s picture coded with
+    /// `qscale_code`.
+    pub fn new(ctx: &SliceContext<'a>, intra: bool, qscale_code: u8) -> Self {
+        Dequant {
+            intra,
+            matrix: if intra {
+                &ctx.seq.intra_quant_matrix
+            } else {
+                &ctx.seq.non_intra_quant_matrix
+            },
+            scale: quantiser_scale(ctx.pic.q_scale_type, qscale_code) as i32,
+            dc_mult: intra_dc_mult(ctx.pic.intra_dc_precision),
         }
-        let k = if q > 0 { 1 } else { -1 };
-        let f = (2 * q + k) * matrix[i] as i32 * scale as i32 / 32;
-        let f = f.clamp(-2048, 2047);
-        out[i] = f;
-        sum += f;
     }
-    mismatch_control(&mut out, sum);
-    out
-}
 
-/// §7.4.4: if the coefficient sum is even, toggle the LSB of F\[7\]\[7\].
-fn mismatch_control(out: &mut [i32; 64], sum: i32) {
-    if sum % 2 == 0 {
-        if out[63] % 2 == 0 {
-            out[63] += 1;
+    /// Dequantises `level` at raster index `idx` and saturates it (§7.4.3).
+    /// Index 0 of an intra block is the DC level, predictor included
+    /// (§7.4.1); everything else goes through the matrix (§7.4.2), non-intra
+    /// levels with the `±1` bias towards their sign.
+    #[inline]
+    pub fn apply(&self, idx: usize, level: i32) -> i32 {
+        let f = if self.intra && idx == 0 {
+            level * self.dc_mult
         } else {
-            out[63] -= 1;
-        }
+            let bias = if self.intra { 0 } else { level.signum() };
+            (2 * level + bias) * self.matrix[idx] as i32 * self.scale / 32
+        };
+        f.clamp(-2048, 2047)
     }
 }
 
@@ -117,10 +118,19 @@ mod tests {
         assert_eq!(intra_dc_mult(3), 1);
     }
 
+    fn dequant(intra: bool, matrix: &[u8; 64], scale: i32) -> Dequant<'_> {
+        Dequant {
+            intra,
+            matrix,
+            scale,
+            dc_mult: intra_dc_mult(0),
+        }
+    }
+
     #[test]
     fn intra_round_trip_is_lossless_for_reachable_values() {
         // Any value of the form QF*W*scale/16 (exactly divisible) must
-        // survive quant -> dequant unchanged (up to mismatch control on 63).
+        // survive quant -> dequant unchanged.
         let scale = 16u16;
         let mut coeffs = [0i32; 64];
         for i in 1..63 {
@@ -129,9 +139,9 @@ mod tests {
         }
         coeffs[0] = 1024;
         let q = quant_intra(&coeffs, &DEFAULT_INTRA_MATRIX, scale, 0);
-        let dq = dequant_intra(&q, &DEFAULT_INTRA_MATRIX, scale, 0);
+        let dq = dequant(true, &DEFAULT_INTRA_MATRIX, scale as i32);
         for i in 0..63 {
-            assert_eq!(dq[i], coeffs[i], "i={i}");
+            assert_eq!(dq.apply(i, q[i]), coeffs[i], "i={i}");
         }
     }
 
@@ -141,38 +151,20 @@ mod tests {
         coeffs[5] = 15; // below one quant step at scale 2, matrix 16: step=2*16*2/32=2... 32*15/(2*16*2)=7
         let q = quant_non_intra(&coeffs, &DEFAULT_NON_INTRA_MATRIX, 2);
         assert_eq!(q[5], 7);
-        let dq = dequant_non_intra(&q, &DEFAULT_NON_INTRA_MATRIX, 2);
+        let dq = dequant(false, &DEFAULT_NON_INTRA_MATRIX, 2);
         // (2*7+1)*16*2/32 = 15
-        assert_eq!(dq[5], 15);
-    }
-
-    #[test]
-    fn mismatch_control_makes_sum_odd() {
-        for levels in [[0i32; 64], {
-            let mut l = [0i32; 64];
-            l[0] = 2;
-            l[10] = 4;
-            l
-        }] {
-            let dq = dequant_non_intra(&levels, &DEFAULT_NON_INTRA_MATRIX, 4);
-            let sum: i32 = dq.iter().sum();
-            assert_eq!(
-                sum.rem_euclid(2),
-                1,
-                "sum must be odd after mismatch control"
-            );
-        }
+        assert_eq!(dq.apply(5, 7), 15);
+        assert_eq!(dq.apply(5, -7), -15);
+        assert_eq!(dq.apply(5, 0), 0);
     }
 
     #[test]
     fn saturation_clamps_to_signed_12_bits() {
-        let mut levels = [0i32; 64];
-        levels[3] = 2047;
-        let dq = dequant_intra(&levels, &DEFAULT_INTRA_MATRIX, 62, 0);
-        assert_eq!(dq[3], 2047);
-        levels[3] = -2047;
-        let dq = dequant_intra(&levels, &DEFAULT_INTRA_MATRIX, 62, 0);
-        assert_eq!(dq[3], -2048);
+        let dq = dequant(true, &DEFAULT_INTRA_MATRIX, 62);
+        assert_eq!(dq.apply(3, 2047), 2047);
+        assert_eq!(dq.apply(3, -2047), -2048);
+        assert_eq!(dq.apply(0, 2047), 2047);
+        assert_eq!(dq.apply(0, -2047), -2048);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Macroblock reconstruction: dequantisation, IDCT, motion compensation
-//! and pixel assembly.
+//! Macroblock reconstruction: IDCT of the already-dequantised coefficient
+//! workspace, motion compensation and pixel assembly.
 //!
 //! [`Reconstructor`] implements [`SliceVisitor`] generically over a
 //! [`ReferenceFetcher`] (where reference pixels come from) and an
@@ -7,11 +7,12 @@
 //! sequential decoder (whole frames on both sides) and the tile decoder in
 //! `tiledec-core` (tile-plus-halo in, tile out).
 
+use crate::block::MbCoeffs;
 use crate::frame::Frame;
 use crate::motion::{average_into, predict, PlanePick, RefPick, ReferenceFetcher};
 use crate::slice::{MbMeta, MbMotion, SliceContext, SliceVisitor};
-use crate::types::{MotionVector, PictureKind};
-use crate::{dct, quant, Result};
+use crate::types::MotionVector;
+use crate::Result;
 
 /// Receives reconstructed macroblock pixels.
 pub trait MbSink {
@@ -60,10 +61,8 @@ pub struct Reconstructor<'a, R: ReferenceFetcher, S: MbSink> {
 }
 
 impl<R: ReferenceFetcher, S: MbSink> Reconstructor<'_, R, S> {
-    #[allow(clippy::too_many_arguments)] // three output planes, one call site
     fn predict_mb(
         &self,
-        ctx: &SliceContext<'_>,
         mb_x: u32,
         mb_y: u32,
         motion: &MbMotion,
@@ -77,76 +76,24 @@ impl<R: ReferenceFetcher, S: MbSink> Reconstructor<'_, R, S> {
             MbMotion::Backward(b) => &[(RefPick::Backward, *b)],
             MbMotion::Bi(f, b) => &[(RefPick::Forward, *f), (RefPick::Backward, *b)],
         };
-        let _ = ctx;
         let (px, py) = (mb_x as usize * 16, mb_y as usize * 16);
-        let mut second_y = [0u8; 256];
-        let mut second_c = [0u8; 64];
-        for (i, (which, mv)) in preds.iter().enumerate() {
+        let mut second = [0u8; 256];
+        for (n, (which, mv)) in preds.iter().enumerate() {
             let cmv = mv.chroma_420();
-            if i == 0 {
-                predict(self.refs, *which, PlanePick::Y, px, py, 16, *mv, y);
-                predict(self.refs, *which, PlanePick::Cb, px / 2, py / 2, 8, cmv, cb);
-                predict(self.refs, *which, PlanePick::Cr, px / 2, py / 2, 8, cmv, cr);
-            } else {
-                predict(
-                    self.refs,
-                    *which,
-                    PlanePick::Y,
-                    px,
-                    py,
-                    16,
-                    *mv,
-                    &mut second_y,
-                );
-                average_into(y, &second_y);
-                predict(
-                    self.refs,
-                    *which,
-                    PlanePick::Cb,
-                    px / 2,
-                    py / 2,
-                    8,
-                    cmv,
-                    &mut second_c,
-                );
-                average_into(cb, &second_c);
-                predict(
-                    self.refs,
-                    *which,
-                    PlanePick::Cr,
-                    px / 2,
-                    py / 2,
-                    8,
-                    cmv,
-                    &mut second_c,
-                );
-                average_into(cr, &second_c);
+            for (plane, x, y, size, mv, dst) in [
+                (PlanePick::Y, px, py, 16, *mv, &mut y[..]),
+                (PlanePick::Cb, px / 2, py / 2, 8, cmv, &mut cb[..]),
+                (PlanePick::Cr, px / 2, py / 2, 8, cmv, &mut cr[..]),
+            ] {
+                if n == 0 {
+                    predict(self.refs, *which, plane, x, y, size, mv, dst);
+                } else {
+                    let second = &mut second[..size * size];
+                    predict(self.refs, *which, plane, x, y, size, mv, second);
+                    average_into(dst, second);
+                }
             }
         }
-    }
-
-    /// Dequantises and inverse-transforms block `i` of a macroblock into
-    /// `out` (raster 8×8 spatial values, clamped to ±255 range by the IDCT).
-    fn residual(
-        &self,
-        ctx: &SliceContext<'_>,
-        meta: &MbMeta,
-        levels: &[i32; 64],
-        intra: bool,
-        out: &mut [i32; 64],
-    ) {
-        let scale = crate::tables::quant::quantiser_scale(ctx.pic.q_scale_type, meta.qscale_code);
-        *out = if intra {
-            quant::dequant_intra(
-                levels,
-                &ctx.seq.intra_quant_matrix,
-                scale,
-                ctx.pic.intra_dc_precision,
-            )
-        } else {
-            quant::dequant_non_intra(levels, &ctx.seq.non_intra_quant_matrix, scale)
-        };
-        dct::idct(out);
     }
 }
 
@@ -163,10 +110,12 @@ fn set_block(dst: &mut [u8], stride: usize, bx: usize, by: usize, samples: &[i32
     (crate::kernels::active().set_block)(&mut dst[by * stride + bx..], stride, samples)
 }
 
-/// Offsets of the four luma blocks within a macroblock.
-const LUMA_BLOCK_OFFSETS: [(usize, usize); 4] = [(0, 0), (8, 0), (0, 8), (8, 8)];
+/// Offsets of the six blocks within their plane's macroblock buffer.
+const BLOCK_OFFSETS: [(usize, usize); 6] = [(0, 0), (8, 0), (0, 8), (8, 8), (0, 0), (0, 0)];
 
 impl<R: ReferenceFetcher, S: MbSink> SliceVisitor for Reconstructor<'_, R, S> {
+    type Coeffs = MbCoeffs;
+
     fn skipped(
         &mut self,
         ctx: &SliceContext<'_>,
@@ -181,7 +130,7 @@ impl<R: ReferenceFetcher, S: MbSink> SliceVisitor for Reconstructor<'_, R, S> {
             let mut y = [0u8; 256];
             let mut cb = [0u8; 64];
             let mut cr = [0u8; 64];
-            self.predict_mb(ctx, mb_x, mb_y, motion, &mut y, &mut cb, &mut cr);
+            self.predict_mb(mb_x, mb_y, motion, &mut y, &mut cb, &mut cr);
             self.sink.write_mb(mb_x, mb_y, &y, &cb, &cr);
         }
         Ok(())
@@ -189,9 +138,9 @@ impl<R: ReferenceFetcher, S: MbSink> SliceVisitor for Reconstructor<'_, R, S> {
 
     fn macroblock(
         &mut self,
-        ctx: &SliceContext<'_>,
+        _ctx: &SliceContext<'_>,
         meta: &MbMeta,
-        blocks: &[[i32; 64]; 6],
+        coeffs: &mut MbCoeffs,
     ) -> Result<()> {
         let _pixel = crate::timing::StageSpan::begin(crate::timing::Stage::Pixel);
         let mut y = [0u8; 256];
@@ -199,47 +148,28 @@ impl<R: ReferenceFetcher, S: MbSink> SliceVisitor for Reconstructor<'_, R, S> {
         let mut cr = [0u8; 64];
         let intra = meta.flags.intra;
         if !intra {
-            self.predict_mb(ctx, meta.x, meta.y, &meta.motion, &mut y, &mut cb, &mut cr);
+            self.predict_mb(meta.x, meta.y, &meta.motion, &mut y, &mut cb, &mut cr);
         }
         let mut spatial = [0i32; 64];
-        for i in 0..6 {
+        for (i, &(bx, by)) in BLOCK_OFFSETS.iter().enumerate() {
             if meta.cbp & (1 << (5 - i)) == 0 {
                 continue;
             }
-            self.residual(ctx, meta, &blocks[i], intra, &mut spatial);
-            match i {
-                0..=3 => {
-                    let (bx, by) = LUMA_BLOCK_OFFSETS[i];
-                    if intra {
-                        set_block(&mut y, 16, bx, by, &spatial);
-                    } else {
-                        add_residual(&mut y, 16, bx, by, &spatial);
-                    }
-                }
-                4 => {
-                    if intra {
-                        set_block(&mut cb, 8, 0, 0, &spatial);
-                    } else {
-                        add_residual(&mut cb, 8, 0, 0, &spatial);
-                    }
-                }
-                _ => {
-                    if intra {
-                        set_block(&mut cr, 8, 0, 0, &spatial);
-                    } else {
-                        add_residual(&mut cr, 8, 0, 0, &spatial);
-                    }
-                }
+            coeffs.idct_into(i, &mut spatial);
+            let (dst, stride): (&mut [u8], _) = match i {
+                0..=3 => (&mut y, 16),
+                4 => (&mut cb, 8),
+                _ => (&mut cr, 8),
+            };
+            if intra {
+                set_block(dst, stride, bx, by, &spatial);
+            } else {
+                add_residual(dst, stride, bx, by, &spatial);
             }
         }
         self.sink.write_mb(meta.x, meta.y, &y, &cb, &cr);
         Ok(())
     }
-}
-
-/// Convenience: true when a picture kind needs a backward reference.
-pub fn needs_backward_ref(kind: PictureKind) -> bool {
-    kind == PictureKind::B
 }
 
 #[cfg(test)]

@@ -42,6 +42,7 @@
 
 use tiledec_bitstream::{BitReader, BitWriter, StartCode, StartCodeIndex};
 
+use crate::block::{self, Discard};
 use crate::decoder::decode_all;
 use crate::frame::Frame;
 use crate::headers;
@@ -51,7 +52,7 @@ use crate::slice::{
 };
 use crate::tables::{mb_type, mba, motion as mvtab};
 use crate::types::{MbFlags, MotionVector, PictureInfo, PictureKind, SequenceInfo};
-use crate::{block, Error, Result};
+use crate::{Error, Result};
 
 /// Largest width the repair pass will accept from a (possibly corrupt)
 /// sequence header: the canonical re-emission carries 12 bits.
@@ -401,6 +402,8 @@ struct RowProbe {
 }
 
 impl SliceVisitor for RowProbe {
+    type Coeffs = Discard;
+
     fn skipped(
         &mut self,
         _ctx: &SliceContext<'_>,
@@ -424,7 +427,7 @@ impl SliceVisitor for RowProbe {
         &mut self,
         _ctx: &SliceContext<'_>,
         meta: &MbMeta,
-        _blocks: &[[i32; 64]; 6],
+        _coeffs: &mut Discard,
     ) -> Result<()> {
         if meta.y != self.row {
             return Err(Error::Syntax("slice escaped its row".into()));
@@ -679,7 +682,7 @@ impl Repairer<'_> {
                 last_addr: -1,
                 mvs: vec![MotionVector::ZERO; mbw],
             };
-            match parse_slice(&mut sr, &ctx, row as u32, &mut probe) {
+            match parse_slice(&mut sr, &ctx, row as u32, &mut probe, &mut Discard) {
                 Ok(()) if probe.last_addr == (row * mbw + mbw - 1) as i64 => {
                     // Keep only up to the byte holding the last data bit:
                     // trailing unit bytes may be zero padding the

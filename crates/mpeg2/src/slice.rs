@@ -4,13 +4,17 @@
 //! trait: the sequential decoder (reconstructs pixels), the splitter's
 //! parse-only pass (records bit spans, predictor state and motion vectors),
 //! and the tile decoder (which re-enters mid-slice from SPH state via
-//! [`parse_one_macroblock`]).
+//! [`parse_one_macroblock`]). Coefficients go from the VLC straight into
+//! the visitor's [`CoeffSink`] — dequantised for consumers that
+//! reconstruct, dropped for those that only parse.
 
 use tiledec_bitstream::{BitReader, BitWriter};
 
+use crate::block::{self, CoeffSink};
+use crate::quant::Dequant;
 use crate::tables::{cbp, mb_type, mba, motion as mvtab};
 use crate::types::{MbFlags, MotionVector, PictureInfo, PictureKind, SequenceInfo};
-use crate::{block, Error, Result};
+use crate::{Error, Result};
 
 /// Everything slice decoding needs to know about the enclosing stream and
 /// picture.
@@ -166,6 +170,11 @@ pub struct MbMeta {
 
 /// Visitor over a slice's macroblocks.
 pub trait SliceVisitor {
+    /// What the walk does with coefficients on this visitor's behalf:
+    /// [`MbCoeffs`](crate::block::MbCoeffs) to reconstruct,
+    /// [`Discard`](crate::block::Discard) to parse only.
+    type Coeffs: CoeffSink;
+
     /// A run of `count` skipped macroblocks starting at `start_addr`,
     /// reconstructed with `motion` (zero forward vector in P pictures, the
     /// previous macroblock's prediction in B pictures).
@@ -177,41 +186,27 @@ pub trait SliceVisitor {
         motion: &MbMotion,
     ) -> Result<()>;
 
-    /// One coded macroblock. `blocks` holds raster-order quantised levels;
-    /// only entries with a set CBP bit are meaningful.
+    /// One coded macroblock. `coeffs` is the sink the walk just fed this
+    /// macroblock's CBP-coded blocks into; a visitor that reads blocks out
+    /// of it must leave them zero.
     fn macroblock(
         &mut self,
         ctx: &SliceContext<'_>,
         meta: &MbMeta,
-        blocks: &[[i32; 64]; 6],
+        coeffs: &mut Self::Coeffs,
     ) -> Result<()>;
 }
 
 /// Parses a whole slice. The reader must be positioned right after the
-/// slice start code; `row` is `start_code_value - 1`.
-///
-/// Allocates a fresh coefficient buffer per call; hot paths that walk
-/// many slices should hold one buffer and use [`parse_slice_into`].
-pub fn parse_slice(
+/// slice start code; `row` is `start_code_value - 1`. `coeffs` is the
+/// caller-held coefficient sink, so a loop over many slices performs no
+/// per-slice allocation.
+pub fn parse_slice<V: SliceVisitor>(
     r: &mut BitReader<'_>,
     ctx: &SliceContext<'_>,
     row: u32,
-    visitor: &mut impl SliceVisitor,
-) -> Result<()> {
-    let mut blocks = Box::new([[0i32; 64]; 6]);
-    parse_slice_into(r, ctx, row, visitor, &mut blocks)
-}
-
-/// [`parse_slice`] with a caller-provided coefficient buffer, so a loop
-/// over many slices performs no per-slice heap allocation. `blocks` is
-/// pure scratch: only CBP-coded entries are written before each
-/// [`SliceVisitor::macroblock`] call, the rest hold stale data.
-pub fn parse_slice_into(
-    r: &mut BitReader<'_>,
-    ctx: &SliceContext<'_>,
-    row: u32,
-    visitor: &mut impl SliceVisitor,
-    blocks: &mut [[i32; 64]; 6],
+    visitor: &mut V,
+    coeffs: &mut V::Coeffs,
 ) -> Result<()> {
     if row >= ctx.seq.mb_height() {
         return Err(Error::Syntax(format!(
@@ -235,7 +230,7 @@ pub fn parse_slice_into(
         } else {
             AddrMode::Continuation
         };
-        let meta = parse_one_macroblock(r, ctx, &mut st, mode, blocks)?;
+        let meta = parse_one_macroblock(r, ctx, &mut st, mode, coeffs)?;
         if meta.skipped_before > 0 {
             let skip_motion = skip_motion(ctx.pic.kind, &meta.entry_prev_motion)?;
             visitor.skipped(
@@ -245,7 +240,7 @@ pub fn parse_slice_into(
                 &skip_motion,
             )?;
         }
-        visitor.macroblock(ctx, &meta, blocks)?;
+        visitor.macroblock(ctx, &meta, coeffs)?;
         first = false;
         if slice_done(r) {
             return Ok(());
@@ -298,14 +293,13 @@ pub fn slice_done(r: &BitReader<'_>) -> bool {
 
 /// Parses one macroblock (address increment + body) and advances the walk
 /// state. `mode` selects address-setting semantics for the increment.
-/// `blocks` is caller-provided scratch for the six coefficient blocks.
-#[allow(clippy::needless_range_loop)] // block index selects both cbp bit and component
+/// The CBP-coded blocks' coefficients go to `coeffs` as they are decoded.
 pub fn parse_one_macroblock(
     r: &mut BitReader<'_>,
     ctx: &SliceContext<'_>,
     st: &mut WalkState,
     mode: AddrMode,
-    blocks: &mut [[i32; 64]; 6],
+    coeffs: &mut impl CoeffSink,
 ) -> Result<MbMeta> {
     let bit_start = r.bit_position();
     let increment = mba::decode_increment(r)?;
@@ -412,16 +406,17 @@ pub fn parse_one_macroblock(
         0
     };
 
+    let q = Dequant::new(ctx, flags.intra, st.pred.qscale_code);
     for i in 0..6 {
         if cbp & (1 << (5 - i)) != 0 {
             let comp = if i < 4 { 0 } else { i - 3 };
             block::parse_block(
                 r,
-                flags.intra,
-                i < 4,
+                &q,
+                i,
                 ctx.pic.alternate_scan,
                 &mut st.pred.dc_pred[comp],
-                &mut blocks[i],
+                coeffs,
             )?;
         }
     }

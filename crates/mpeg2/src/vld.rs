@@ -7,7 +7,8 @@
 //!
 //! * **Record** ([`record_slice`]): a worker thread runs the ordinary
 //!   slice walker with a visitor that appends every visitor call — skipped
-//!   runs and coded macroblocks with their coefficient blocks — into a
+//!   runs and coded macroblocks with their coefficients, already
+//!   dequantised and stored sparsely — into a
 //!   [`SliceRecording`]. Because `parse_slice` depends only on the
 //!   bitstream bytes and the immutable [`SliceContext`], the recorded
 //!   event sequence (and any terminating [`Error`], including its exact
@@ -29,7 +30,8 @@ use std::time::Instant;
 
 use tiledec_bitstream::BitReader;
 
-use crate::slice::{parse_slice_into, MbMeta, MbMotion, SliceContext, SliceVisitor};
+use crate::block::MbCoeffs;
+use crate::slice::{parse_slice, MbMeta, MbMotion, SliceContext, SliceVisitor};
 use crate::{Error, Result};
 
 /// One visitor call captured during a recorded slice walk.
@@ -41,10 +43,9 @@ enum RecordedEvent {
         count: u32,
         motion: MbMotion,
     },
-    /// A coded macroblock; its coefficient blocks live in the recording's
-    /// arena starting at `first_coeff` (one entry per set CBP bit, in
-    /// block order).
-    Macroblock { meta: MbMeta, first_coeff: u32 },
+    /// A coded macroblock; its coded blocks (one per set CBP bit, in
+    /// block order) are the next ones in the recording's arenas.
+    Macroblock { meta: MbMeta },
 }
 
 /// The entropy-decode output of one slice, ready to replay.
@@ -56,8 +57,12 @@ enum RecordedEvent {
 #[derive(Debug, Clone)]
 pub struct SliceRecording {
     events: Vec<RecordedEvent>,
-    /// Flat arena of coefficient blocks; only CBP-coded blocks are stored.
-    coeffs: Vec<[i32; 64]>,
+    /// One non-zero mask per coded block ([`MbCoeffs::drain_block`]).
+    masks: Vec<u64>,
+    /// The dequantised coefficients those masks select, block after
+    /// block, ascending raster index within a block. Dequantisation
+    /// saturates to 12 bits, so 16 are plenty.
+    values: Vec<i16>,
     row: u32,
     cost_ns: u64,
     outcome: Option<Error>,
@@ -75,7 +80,8 @@ impl Default for SliceRecording {
     fn default() -> Self {
         SliceRecording {
             events: Vec::new(),
-            coeffs: Vec::new(),
+            masks: Vec::new(),
+            values: Vec::new(),
             row: 0,
             cost_ns: 0,
             outcome: None,
@@ -121,7 +127,8 @@ impl SliceRecording {
     /// Empties the recording for reuse, keeping allocations.
     pub fn clear(&mut self) {
         self.events.clear();
-        self.coeffs.clear();
+        self.masks.clear();
+        self.values.clear();
         self.row = 0;
         self.cost_ns = 0;
         self.outcome = None;
@@ -135,12 +142,10 @@ impl SliceRecording {
     }
 }
 
-/// [`SliceVisitor`] that captures calls into a [`SliceRecording`].
-struct Recorder<'a> {
-    rec: &'a mut SliceRecording,
-}
+/// Captures the walker's calls.
+impl SliceVisitor for SliceRecording {
+    type Coeffs = MbCoeffs;
 
-impl SliceVisitor for Recorder<'_> {
     fn skipped(
         &mut self,
         ctx: &SliceContext<'_>,
@@ -149,11 +154,11 @@ impl SliceVisitor for Recorder<'_> {
         motion: &MbMotion,
     ) -> Result<()> {
         let mbw = ctx.mb_width().max(1);
-        self.rec.touch_rows(
+        self.touch_rows(
             start_addr / mbw,
             (start_addr + count).saturating_sub(1) / mbw,
         );
-        self.rec.events.push(RecordedEvent::Skipped {
+        self.events.push(RecordedEvent::Skipped {
             start_addr,
             count,
             motion: *motion,
@@ -165,19 +170,18 @@ impl SliceVisitor for Recorder<'_> {
         &mut self,
         _ctx: &SliceContext<'_>,
         meta: &MbMeta,
-        blocks: &[[i32; 64]; 6],
+        coeffs: &mut MbCoeffs,
     ) -> Result<()> {
-        self.rec.touch_rows(meta.y, meta.y);
-        let first_coeff = self.rec.coeffs.len() as u32;
-        for (i, block) in blocks.iter().enumerate() {
+        self.touch_rows(meta.y, meta.y);
+        for i in 0..6 {
             if meta.cbp & (1 << (5 - i)) != 0 {
-                self.rec.coeffs.push(*block);
+                let values = &mut self.values;
+                self.masks
+                    .push(coeffs.drain_block(i, |_, v| values.push(v as i16)));
             }
         }
-        self.rec.events.push(RecordedEvent::Macroblock {
-            meta: meta.clone(),
-            first_coeff,
-        });
+        self.events
+            .push(RecordedEvent::Macroblock { meta: meta.clone() });
         Ok(())
     }
 }
@@ -192,7 +196,7 @@ impl SliceVisitor for Recorder<'_> {
 /// recorded bit positions — including error positions — match the
 /// sequential decoder's exactly.
 ///
-/// `scratch` is the walker's coefficient buffer, caller-held so worker
+/// `scratch` is the walker's coefficient workspace, caller-held so worker
 /// loops recording thousands of slices stay allocation-free.
 pub fn record_slice(
     data: &[u8],
@@ -200,17 +204,13 @@ pub fn record_slice(
     row: u32,
     ctx: &SliceContext<'_>,
     rec: &mut SliceRecording,
-    scratch: &mut [[i32; 64]; 6],
+    scratch: &mut MbCoeffs,
 ) {
     rec.clear();
     rec.row = row;
     let start = Instant::now();
     let mut r = BitReader::at(data, (start_offset + 4) * 8);
-    let result = {
-        let mut recorder = Recorder { rec };
-        parse_slice_into(&mut r, ctx, row, &mut recorder, scratch)
-    };
-    rec.outcome = result.err();
+    rec.outcome = parse_slice(&mut r, ctx, row, rec, scratch).err();
     rec.cost_ns = start.elapsed().as_nanos() as u64;
 }
 
@@ -218,15 +218,19 @@ pub fn record_slice(
 /// visited, then reproduces the recorded outcome: `Ok` for a clean slice,
 /// or the stored error (bit positions intact) for a failed one.
 ///
-/// `scratch` is the caller's six-block buffer; only CBP-coded entries are
-/// overwritten, mirroring how [`parse_slice`] leaves non-coded blocks
-/// stale (visitors must not read them — the `Reconstructor` doesn't).
+/// `scratch` is the workspace the recorded blocks are refilled into for
+/// the visitor, which hands it back zeroed as after a live parse.
 pub fn replay_slice(
     rec: &SliceRecording,
     ctx: &SliceContext<'_>,
-    visitor: &mut impl SliceVisitor,
-    scratch: &mut [[i32; 64]; 6],
+    visitor: &mut impl SliceVisitor<Coeffs = MbCoeffs>,
+    scratch: &mut MbCoeffs,
 ) -> Result<()> {
+    // The arenas hold exactly one mask per coded block and one value per
+    // mask bit, in event order, and a recording is only ever read back
+    // whole: two cursors running along them stay in step by construction.
+    let mut masks = rec.masks.iter();
+    let mut values = rec.values.as_slice();
     for ev in &rec.events {
         match ev {
             RecordedEvent::Skipped {
@@ -234,17 +238,13 @@ pub fn replay_slice(
                 count,
                 motion,
             } => visitor.skipped(ctx, *start_addr, *count, motion)?,
-            RecordedEvent::Macroblock { meta, first_coeff } => {
-                let mut idx = *first_coeff as usize;
-                for (i, slot) in scratch.iter_mut().enumerate() {
+            RecordedEvent::Macroblock { meta } => {
+                for i in 0..6 {
                     if meta.cbp & (1 << (5 - i)) != 0 {
-                        // The arena holds exactly one entry per coded block;
-                        // a recording is only ever read back whole, so the
-                        // index stays in bounds by construction.
-                        if let Some(block) = rec.coeffs.get(idx) {
-                            *slot = *block;
-                        }
-                        idx += 1;
+                        let mask = masks.next().copied().unwrap_or(0);
+                        let n = (mask.count_ones() as usize).min(values.len());
+                        scratch.load_block(i, mask, &values[..n]);
+                        values = &values[n..];
                     }
                 }
                 visitor.macroblock(ctx, meta, scratch)?;
@@ -260,7 +260,6 @@ pub fn replay_slice(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slice::parse_slice;
 
     /// Visitor that serialises calls into comparable records.
     #[derive(Default, PartialEq, Debug)]
@@ -269,6 +268,8 @@ mod tests {
     }
 
     impl SliceVisitor for Trace {
+        type Coeffs = MbCoeffs;
+
         fn skipped(
             &mut self,
             _ctx: &SliceContext<'_>,
@@ -285,12 +286,14 @@ mod tests {
             &mut self,
             _ctx: &SliceContext<'_>,
             meta: &MbMeta,
-            blocks: &[[i32; 64]; 6],
+            coeffs: &mut MbCoeffs,
         ) -> Result<()> {
             let mut coded = Vec::new();
-            for (i, block) in blocks.iter().enumerate() {
+            for i in 0..6 {
                 if meta.cbp & (1 << (5 - i)) != 0 {
-                    coded.extend_from_slice(block);
+                    let mut block = [0i32; 64];
+                    coeffs.drain_block(i, |idx, v| block[idx] = v);
+                    coded.extend_from_slice(&block);
                 }
             }
             self.calls.push((format!("mb {:?}", meta), coded));
@@ -367,10 +370,10 @@ mod tests {
             let row = (code.code - 1) as u32;
             let mut direct = Trace::default();
             let mut r = BitReader::at(&data, (code.offset + 4) * 8);
-            let direct_res = parse_slice(&mut r, &ctx, row, &mut direct);
+            let mut scratch = MbCoeffs::default();
+            let direct_res = parse_slice(&mut r, &ctx, row, &mut direct, &mut scratch);
 
             let mut rec = SliceRecording::default();
-            let mut scratch = [[0i32; 64]; 6];
             record_slice(&data, code.offset, row, &ctx, &mut rec, &mut scratch);
             assert_eq!(rec.row(), row);
             let mut replayed = Trace::default();
@@ -395,9 +398,9 @@ mod tests {
         let row = (slice.code - 1) as u32;
         let mut direct = Trace::default();
         let mut r = BitReader::at(cut, (slice.offset + 4) * 8);
-        let direct_res = parse_slice(&mut r, &ctx, row, &mut direct);
+        let mut scratch = MbCoeffs::default();
+        let direct_res = parse_slice(&mut r, &ctx, row, &mut direct, &mut scratch);
         let mut rec = SliceRecording::default();
-        let mut scratch = [[0i32; 64]; 6];
         record_slice(cut, slice.offset, row, &ctx, &mut rec, &mut scratch);
         let mut replayed = Trace::default();
         let replay_res = replay_slice(&rec, &ctx, &mut replayed, &mut scratch);
@@ -416,7 +419,8 @@ mod tests {
                 count: 2,
                 motion: MbMotion::Intra,
             }],
-            coeffs: vec![[1i32; 64]],
+            masks: vec![0b101],
+            values: vec![7, -7],
             row: 5,
             cost_ns: 99,
             outcome: Some(Error::Syntax("x".into())),

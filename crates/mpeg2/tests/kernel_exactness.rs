@@ -7,7 +7,7 @@
 //! inside the SIMD sets), strided vs packed motion-compensation sources,
 //! edge-clamped fetches, and saturating reconstruction extremes.
 
-use tiledec_mpeg2::dct::idct_scalar;
+use tiledec_mpeg2::dct::{idct_masked, idct_scalar};
 use tiledec_mpeg2::frame::{Frame, Plane, RowMajorPlane, CHROMA_TILE_SHIFT, LUMA_TILE_SHIFT};
 use tiledec_mpeg2::kernels::{self, scalar, KernelSet};
 use tiledec_mpeg2::motion::{predict, FrameRefs, PlanePick, RefPick, ReferenceFetcher};
@@ -151,6 +151,157 @@ fn idct_adversarial_extremes_match_scalar() {
                 b[i * 8 + lane] = 0;
             }
             assert_idct_matches(set, &b, "zero-ac-col");
+        }
+    }
+}
+
+/// What `MbCoeffs` would hold for these coefficients: saturated values,
+/// mismatch control applied (§7.4.4: an even sum toggles the LSB of
+/// `[63]`), and the mask of indices that may be non-zero.
+fn dequantised(coeffs: &[(usize, i32)]) -> ([i32; 64], u64) {
+    let mut block = [0i32; 64];
+    let mut mask = 0u64;
+    for &(i, v) in coeffs {
+        block[i] = v;
+        mask |= 1 << i;
+    }
+    if block.iter().sum::<i32>() % 2 == 0 {
+        block[63] ^= 1;
+        mask = (mask & !(1 << 63)) | ((block[63] != 0) as u64) << 63;
+    }
+    (block, mask)
+}
+
+/// The decoder's entry must equal the scalar definition and hand the
+/// workspace back zeroed.
+fn assert_masked_matches(block: &[i32; 64], mask: u64, what: &str) {
+    let mut expect = *block;
+    idct_scalar(&mut expect);
+    let mut ws = *block;
+    let mut got = [0x5A5A_5A5Ai32; 64];
+    idct_masked(&mut ws, mask, &mut got);
+    assert_eq!(expect, got, "idct_masked mismatch: {what}");
+    assert_eq!(ws, [0i32; 64], "workspace not re-zeroed: {what}");
+}
+
+/// Runs `f` once per available kernel set with that set active — the
+/// shortcuts are set-independent code, the full transform behind them is
+/// not, and a block must come out the same whichever one it lands on.
+fn for_each_active_set(f: impl Fn(&str)) {
+    let _guard = KERNEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let before = kernels::active();
+    for set in kernels::available() {
+        kernels::set_active(set);
+        f(set.name);
+    }
+    kernels::set_active(before);
+}
+
+/// Exhaustive over the DC-only family: every DC the dequantiser can emit,
+/// alone, and with each value mismatch control or a coded `[63]` can
+/// leave there next to it (absent, the `±1` the toggle produces, and the
+/// `±2` neighbours that must *not* take the `±1` shortcut).
+#[test]
+fn masked_idct_exhaustive_dc_family() {
+    // Miri runs the scalar set only and interprets every butterfly.
+    let step = if cfg!(miri) { 61 } else { 1 };
+    for_each_active_set(|set| {
+        for dc in (-2048..=2047).step_by(step) {
+            assert_masked_matches(&block_from(&[dc]), 1, &format!("{set} dc={dc} alone"));
+            for last in [1, -1, 2, -2] {
+                let mut block = block_from(&[dc]);
+                block[63] = last;
+                let what = format!("{set} dc={dc} [63]={last}");
+                assert_masked_matches(&block, 1 | 1 << 63, &what);
+            }
+            // As the sink delivers it: the toggle decided by DC's parity,
+            // for an intra block (DC bit always in the mask) and for a
+            // non-intra block whose only coefficient sits at [0].
+            let (block, mask) = dequantised(&[(0, dc)]);
+            assert_masked_matches(&block, mask, &format!("{set} dc={dc} after mismatch"));
+        }
+        // An intra block whose DC dequantised to zero still has its bit set.
+        assert_masked_matches(&[0; 64], 1, &format!("{set} zero dc"));
+        assert_masked_matches(&[0; 64], 0, &format!("{set} empty mask"));
+    });
+}
+
+/// Exhaustive over single-coefficient blocks: every position × every
+/// dequantiser output value, after mismatch control.
+#[test]
+fn masked_idct_exhaustive_single_coefficient() {
+    let step = if cfg!(miri) { 257 } else { 1 };
+    for_each_active_set(|set| {
+        for pos in 0..64 {
+            for v in (-2048..=2047).step_by(step) {
+                let (block, mask) = dequantised(&[(pos, v)]);
+                assert_masked_matches(&block, mask, &format!("{set} [{pos}]={v}"));
+            }
+        }
+    });
+}
+
+/// Row-0 blocks (with and without the toggle), masks that over-approximate
+/// (bits set over zeros), and everything-else blocks through the
+/// range-guaranteed full transform.
+#[test]
+fn masked_idct_matches_scalar_on_random_shapes() {
+    for_each_active_set(|set| {
+        for case in 0..4 * CASES {
+            let mut rng = Rng::new(case);
+            let mut coeffs = Vec::new();
+            let row0_only = case % 2 == 0;
+            for _ in 0..1 + rng.below(8) {
+                let pos = if row0_only {
+                    rng.below(8)
+                } else {
+                    rng.below(64)
+                } as usize;
+                let extreme = [2047, -2048, 1, -1][rng.below(4) as usize];
+                let v = if rng.below(4) == 0 {
+                    extreme
+                } else {
+                    rng.range(-2048, 2048)
+                };
+                coeffs.retain(|&(p, _)| p != pos);
+                coeffs.push((pos, v));
+            }
+            let (block, mask) = dequantised(&coeffs);
+            assert_masked_matches(&block, mask, &format!("{set} case {case}"));
+            // A superset mask must change nothing.
+            let wide = mask | 1 << rng.below(64);
+            assert_masked_matches(&block, wide, &format!("{set} case {case} wide mask"));
+        }
+    });
+}
+
+/// `idct_in_range` is `idct` minus the range scan.
+#[test]
+fn idct_in_range_entry_matches_scalar() {
+    for case in 0..CASES {
+        let mut rng = Rng::new(case);
+        let mut coeffs = [0i32; 64];
+        let density = [3, 20, 100][case as usize % 3];
+        for v in &mut coeffs {
+            if rng.below(100) < density {
+                *v = rng.range(-2048, 2048);
+            }
+        }
+        let mut expect = coeffs;
+        idct_scalar(&mut expect);
+        for set in kernels::available() {
+            let mut got = coeffs;
+            (set.idct_in_range)(&mut got);
+            assert_eq!(expect, got, "set={} case {case}", set.name);
+        }
+    }
+    for set in kernels::available() {
+        for fill in [2047, -2048] {
+            let mut expect = [fill; 64];
+            idct_scalar(&mut expect);
+            let mut got = [fill; 64];
+            (set.idct_in_range)(&mut got);
+            assert_eq!(expect, got, "set={} fill {fill}", set.name);
         }
     }
 }

@@ -2,12 +2,17 @@
 //! configurations, the parallel system is bit-exact with the sequential
 //! decoder. Cases are kept small (this exercises the full pipeline per
 //! case) but cover the interaction space: GOP structure × motion × grid ×
-//! splitter count × overlap.
+//! splitter count × overlap. A second property pins every decode
+//! back-end to the sequential decoder on the coding options the encoder
+//! leaves off by default.
 
+use tiledec::bitstream::{BitReader, BitWriter, StartCode, StartCodeIndex};
+use tiledec::core::recon_parallel::PipelineDecoder;
+use tiledec::core::vld_parallel::ParallelVldDecoder;
 use tiledec::core::{SystemConfig, ThreadedSystem};
-use tiledec::mpeg2::decode_all;
 use tiledec::mpeg2::encoder::{Encoder, EncoderConfig};
 use tiledec::mpeg2::frame::Frame;
+use tiledec::mpeg2::{decode_all, decode_all_resilient, headers};
 
 fn clip(w: usize, h: usize, n: usize, seed: u32) -> Vec<Frame> {
     let s = seed as usize;
@@ -106,4 +111,83 @@ fn parallel_equals_sequential() {
             );
         }
     }
+}
+
+/// Rewrites every sequence header (plus its sequence extension) of
+/// `stream` to download custom quantiser matrices. The encoder only ever
+/// emits the defaults, so the pictures drift from what it intended — what
+/// matters here is that every decoder dequantises the *same* levels with
+/// the *same* downloaded matrices.
+fn with_custom_matrices(stream: &[u8]) -> Vec<u8> {
+    let index = StartCodeIndex::build(stream);
+    let codes = index.codes();
+    let mut out = Vec::with_capacity(stream.len() + 256);
+    let mut copied = 0;
+    for (k, code) in codes.iter().enumerate() {
+        if code.code != StartCode::SEQUENCE_HEADER {
+            continue;
+        }
+        assert_eq!(
+            codes[k + 1].code,
+            StartCode::EXTENSION,
+            "sequence extension"
+        );
+        let mut seq =
+            headers::parse_sequence_header(&mut BitReader::at(stream, (code.offset + 4) * 8))
+                .unwrap();
+        for i in 0..64 {
+            seq.intra_quant_matrix[i] = (8 + (i * 5) % 23 + i / 2) as u8;
+            seq.non_intra_quant_matrix[i] = (12 + (i * 11) % 17 + i / 4) as u8;
+        }
+        let mut w = BitWriter::new();
+        headers::write_sequence_header(&mut w, &seq);
+        out.extend_from_slice(&stream[copied..code.offset]);
+        out.extend_from_slice(&w.into_bytes());
+        copied = codes[k + 2].offset;
+    }
+    assert!(copied > 0, "stream has no sequence header");
+    out.extend_from_slice(&stream[copied..]);
+    out
+}
+
+/// Sequential, slice-parallel VLD, the VLD ‖ band-recon pipeline, a
+/// threaded 1-1-(2,2) wall and the resilient driver all walk one
+/// coefficient path (VLC → dequantising sink → sparse workspace or sparse
+/// recording → masked IDCT); on a stream using alternate scan, the
+/// non-linear quantiser scale, 10-bit intra DC and downloaded matrices
+/// they must produce the same frames.
+#[test]
+fn every_backend_agrees_on_off_default_coding_options() {
+    let (w, h) = (192, 96);
+    let mut cfg = EncoderConfig::for_size(w, h);
+    cfg.gop_size = 6;
+    cfg.b_frames = 2;
+    cfg.qscale = 5;
+    cfg.alternate_scan = true;
+    cfg.q_scale_type = true;
+    cfg.intra_dc_precision = 2;
+    let encoded = Encoder::new(cfg)
+        .unwrap()
+        .encode(&clip(w as usize, h as usize, 8, 77))
+        .unwrap();
+    let stream = with_custom_matrices(&encoded);
+
+    let reference = decode_all(&stream).unwrap();
+    assert_eq!(reference.len(), 8);
+    assert!(
+        decode_all(&encoded).unwrap() != reference,
+        "downloaded matrices had no effect"
+    );
+
+    let vld = ParallelVldDecoder::new(2).decode_all(&stream).unwrap();
+    assert!(vld == reference, "ParallelVldDecoder(2) differs");
+    let pipe = PipelineDecoder::new(2, 2).decode_all(&stream).unwrap();
+    assert!(pipe == reference, "PipelineDecoder(2,2) differs");
+    let wall = ThreadedSystem::new(SystemConfig::new(1, (2, 2)))
+        .play(&stream)
+        .unwrap();
+    assert!(wall.frames == reference, "1-1-(2,2) threaded wall differs");
+    let (resilient, damage) = decode_all_resilient(&stream).unwrap();
+    assert!(resilient == reference, "resilient decode differs");
+    assert!(damage.clean, "clean stream reported damage");
 }
