@@ -10,16 +10,18 @@
 //! [`tiledec_mpeg2::timing`]; stage hooks stay disabled during the timed
 //! passes. Results go to stdout (or `--out`) as JSON.
 //!
-//! A third family of passes measures the slice-parallel VLD decoder
-//! (`tiledec_core::vld_parallel`) at 1, 2, 4 and 8 workers, publishing a
-//! worker-scaling curve with per-worker utilization/imbalance and a
-//! critical-path model throughput (`model_pps`, same per-picture-max
-//! methodology as `tiled_2x2_pps` — what the decode costs once workers
-//! and coordinator overlap on enough cores; wall-clock `pps` on a
-//! single-core host shows the coordination overhead instead). When
-//! `TILEDEC_VLD_WORKERS` is set, the timed sequential passes
-//! (`scalar_pps`/`best_pps`) also run through the parallel decoder, which
-//! is how CI smoke-tests the parallel path under the regression gate.
+//! A third family of passes measures the node-local parallel engine
+//! (`tiledec_core::PipelineDecoder`) along two scaling curves, one per
+//! stage: `vld_parallel` sweeps the VLD stage over 1, 2, 4 and 8 workers
+//! with one recon worker, `recon_parallel` sweeps the recon stage with
+//! two VLD workers. Each point carries the swept stage's per-worker
+//! utilization/imbalance and a critical-path model throughput
+//! (`model_pps` — what the decode costs once both stages overlap on
+//! enough cores; wall-clock `pps` on a single-core host shows the
+//! coordination overhead instead). When `TILEDEC_VLD_WORKERS` and/or
+//! `TILEDEC_RECON_WORKERS` is set, the timed sequential passes
+//! (`scalar_pps`/`best_pps`) also run through the engine, which is how
+//! CI smoke-tests the parallel path under the regression gate.
 //!
 //! A fourth pass, `mc_locality`, isolates the reference-frame storage
 //! layout against two byte-identical HD reference frames — one
@@ -93,7 +95,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 use tiledec_core::recon_parallel::{PipelineDecoder, PipelineStats};
 use tiledec_core::splitter::{split_picture_units, MacroblockSplitter};
 use tiledec_core::tile_decoder::TileDecoder;
-use tiledec_core::vld_parallel::ParallelVldDecoder;
+use tiledec_core::vld_parallel::busy_ratios;
 use tiledec_core::SystemConfig;
 use tiledec_mpeg2::kernels;
 use tiledec_mpeg2::motion::{predict, FrameRefs, PlanePick, RefPick};
@@ -101,10 +103,11 @@ use tiledec_mpeg2::types::MotionVector;
 use tiledec_mpeg2::Frame;
 use tiledec_workload::StreamPreset;
 
-/// Worker counts of the slice-parallel VLD scaling curve.
+/// VLD worker counts of the `vld_parallel` scaling curve (recon side
+/// pinned at one worker).
 const VLD_WORKER_CURVE: [usize; 4] = [1, 2, 4, 8];
 
-/// Recon worker counts of the pipelined-decoder scaling curve (VLD side
+/// Recon worker counts of the `recon_parallel` scaling curve (VLD side
 /// pinned at [`PIPELINE_VLD_WORKERS`]).
 const RECON_WORKER_CURVE: [usize; 4] = [1, 2, 4, 8];
 
@@ -112,33 +115,40 @@ const RECON_WORKER_CURVE: [usize; 4] = [1, 2, 4, 8];
 /// for the e2e pipeline number — matches CI's pipelined smoke pass.
 const PIPELINE_VLD_WORKERS: usize = 2;
 
-/// One point of the pipelined (VLD ‖ band-recon) scaling curve.
-struct ReconPoint {
-    recon_workers: usize,
-    pps: f64,
-    /// Wall-clock speedup over `best_pps` (the single-thread decode).
-    speedup: f64,
-    /// Mean recon-worker busy share of wall time.
-    utilization: f64,
-    /// Max-over-mean recon-worker busy time.
-    imbalance: f64,
-    /// Critical-path model throughput: per-picture max of the VLD stage
-    /// vs the recon stage (band critical path + assembly), summed — what
-    /// the pipeline delivers once both stages overlap on enough cores.
-    model_pps: f64,
-}
-
-/// One point of the slice-parallel VLD scaling curve.
-struct VldPoint {
+/// One point of an engine scaling curve: one stage swept, the other
+/// pinned.
+struct CurvePoint {
+    /// Worker count of the swept stage.
     workers: usize,
     pps: f64,
     /// Wall-clock speedup over `best_pps` (the single-thread decode).
     speedup: f64,
+    /// Mean busy share of wall time over the swept stage's workers.
     utilization: f64,
+    /// Max-over-mean busy time over the swept stage's workers.
     imbalance: f64,
-    /// Critical-path model throughput (per-picture max of coordinator
-    /// replay vs slowest VLD range, summed — the multi-core ceiling).
+    /// Critical-path model throughput: the slower of the VLD stage
+    /// (per-picture slowest range, summed) and the recon stage (band
+    /// critical path + assembly per dependency level, summed) — what the
+    /// engine delivers once both stages overlap on enough cores.
     model_pps: f64,
+}
+
+/// The engine stage a scaling curve sweeps.
+#[derive(Clone, Copy)]
+enum Stage {
+    Vld,
+    Recon,
+}
+
+impl Stage {
+    /// This stage's per-worker busy times (one entry per worker).
+    fn busy(self, st: &PipelineStats) -> &[u64] {
+        match self {
+            Stage::Vld => &st.vld_busy_ns,
+            Stage::Recon => &st.recon_busy_ns,
+        }
+    }
 }
 
 /// Tiled-vs-row-major reference-frame locality sweeps: identical
@@ -403,8 +413,8 @@ struct PresetResult {
     tiled_pps: f64,
     tiled_fps: f64,
     steady_allocs: u64,
-    vld_curve: Vec<VldPoint>,
-    recon_curve: Vec<ReconPoint>,
+    vld_curve: Vec<CurvePoint>,
+    recon_curve: Vec<CurvePoint>,
     /// Wall-clock pixels/sec of the 2-VLD/2-recon pipelined decode — the
     /// configuration CI's pipelined smoke pass runs. Gated by `--check`
     /// to ≥ 0.9× this run's own sequential `best_pps` (within-run, so
@@ -602,10 +612,6 @@ fn main() {
         //    (Also skipped when the "sequential" passes were themselves
         //    redirected through a parallel decoder by the worker env
         //    vars.);
-        //  * the combined-pipeline model throughput must exceed the
-        //    VLD-only model ceiling on every preset — the recon stage
-        //    parallelism must lift the critical path, not just re-shuffle
-        //    it;
         //  * 4-worker VLD imbalance stays ≤ 1.6 on presets with ≥ 8 slice
         //    rows (enough rows for the EWMA partitioner to balance; the
         //    6-row tiny preset cannot split 6 rows four ways evenly).
@@ -639,26 +645,6 @@ fn main() {
                         r.name, r.e2e_pipeline_pps
                     );
                 }
-            }
-            let vld_ceiling = r.vld_curve.iter().map(|p| p.model_pps).fold(0.0, f64::max);
-            let combined = r
-                .recon_curve
-                .iter()
-                .map(|p| p.model_pps)
-                .fold(0.0, f64::max);
-            if combined <= vld_ceiling {
-                eprintln!(
-                    "[check] FAIL {} pipeline model: combined {combined:.0} pixels/s does not \
-                     exceed the VLD-only ceiling {vld_ceiling:.0}",
-                    r.name
-                );
-                failed = true;
-            } else {
-                eprintln!(
-                    "[check] ok {} pipeline model: combined {combined:.0} pixels/s > VLD-only \
-                     ceiling {vld_ceiling:.0}",
-                    r.name
-                );
             }
             if r.height / 16 >= 8 {
                 let imb = r
@@ -777,47 +763,30 @@ fn run_preset(
     // steady-state allocation audit on the second half of the pictures.
     let (tiled_s, steady_allocs) = time_tiled(&stream);
 
-    // Slice-parallel VLD scaling curve (best kernels, best-of-5 walls).
-    let single_s = best_s;
-    let vld_curve = VLD_WORKER_CURVE
-        .iter()
-        .map(|&workers| {
-            let (wall_s, stats, min_imbalance) = time_vld_parallel(&stream, workers);
-            let model_s = (stats.model_critical_ns as f64 * 1e-9).max(1e-12);
-            VldPoint {
-                workers,
-                pps: pixels / wall_s,
-                speedup: single_s / wall_s,
-                utilization: stats.utilization(),
-                imbalance: min_imbalance,
-                model_pps: pixels / model_s,
-            }
-        })
-        .collect();
-
-    // Pipelined (VLD ‖ band-recon) scaling curve: VLD side pinned at 2
-    // workers, recon side swept. Exact counts (`PipelineDecoder::new`),
-    // not auto-tuned: the curve exists to show scaling shape, and the
-    // model numbers are what a multi-core host would get.
-    let recon_curve: Vec<ReconPoint> = RECON_WORKER_CURVE
-        .iter()
-        .map(|&workers| {
-            let (wall_s, stats, min_imbalance) =
-                time_pipeline(&stream, PIPELINE_VLD_WORKERS, workers);
-            let model_s = (stats.model_critical_ns as f64 * 1e-9).max(1e-12);
-            ReconPoint {
-                recon_workers: workers,
-                pps: pixels / wall_s,
-                speedup: single_s / wall_s,
-                utilization: stats.utilization(),
-                imbalance: min_imbalance,
-                model_pps: pixels / model_s,
-            }
-        })
-        .collect();
+    // Engine scaling curves (best kernels, best-of-5 walls), one per
+    // stage. Exact counts (`PipelineDecoder::new`), not auto-tuned: the
+    // curves exist to show scaling shape, and the model numbers are what
+    // a multi-core host would get.
+    let point = |vld: usize, recon: usize, swept: Stage| {
+        let (wall_s, stats, min_imbalance) = time_engine(&stream, vld, recon, swept);
+        let model_s = (stats.model_critical_ns as f64 * 1e-9).max(1e-12);
+        let busy = swept.busy(&stats);
+        CurvePoint {
+            workers: busy.len(),
+            pps: pixels / wall_s,
+            speedup: best_s / wall_s,
+            utilization: busy_ratios(busy, stats.wall_ns).0,
+            imbalance: min_imbalance,
+            model_pps: pixels / model_s,
+        }
+    };
+    let vld_curve = VLD_WORKER_CURVE.map(|w| point(w, 1, Stage::Vld)).into();
+    let recon_curve: Vec<CurvePoint> = RECON_WORKER_CURVE
+        .map(|w| point(PIPELINE_VLD_WORKERS, w, Stage::Recon))
+        .into();
     let e2e = recon_curve
         .iter()
-        .find(|p| p.recon_workers == 2)
+        .find(|p| p.workers == 2)
         .expect("recon curve contains the 2-worker point");
     let (e2e_pipeline_pps, e2e_model_pps) = (e2e.pps, e2e.model_pps);
 
@@ -852,9 +821,9 @@ fn run_preset(
 
 /// Times the "sequential" decode path. Honouring `TILEDEC_VLD_WORKERS`
 /// and `TILEDEC_RECON_WORKERS` here is what lets CI run the whole
-/// regression gate with the slice-parallel or fully pipelined decoder
-/// substituted in (both unset = plain sequential; VLD only = the
-/// replay-on-coordinator decoder; both = the banded recon pipeline).
+/// regression gate with the parallel engine substituted in (both unset =
+/// plain sequential; one set = that stage at up to the given count, the
+/// other on one worker; both = each stage at up to its count).
 fn time_sequential(stream: &[u8]) -> f64 {
     let mut dec = PipelineDecoder::from_env();
     let mut bestt = f64::INFINITY;
@@ -868,41 +837,16 @@ fn time_sequential(stream: &[u8]) -> f64 {
     bestt
 }
 
-/// Best-of-5 wall time of the slice-parallel decoder at `workers`, the
-/// stats of the fastest run, and the minimum load imbalance across the
-/// reps. The minimum is the partitioner's actual capability: on a
-/// time-sliced single-core host any individual rep's imbalance is
-/// inflated by preemption convoys (whichever worker the scheduler
-/// descheduled looks "slow"), and that noise only ever pushes the
-/// number up.
-fn time_vld_parallel(stream: &[u8], workers: usize) -> (f64, tiledec_core::VldStats, f64) {
-    let mut dec = ParallelVldDecoder::new(workers);
-    let mut bestt = f64::INFINITY;
-    let mut best_stats = tiledec_core::VldStats::default();
-    let mut min_imbalance = f64::INFINITY;
-    for _ in 0..5 {
-        let t0 = Instant::now();
-        let mut frames = 0usize;
-        dec.decode_stream(stream, |_, _| frames += 1)
-            .expect("vld_parallel decode");
-        let dt = t0.elapsed().as_secs_f64();
-        std::hint::black_box(frames);
-        min_imbalance = min_imbalance.min(dec.stats().imbalance());
-        if dt < bestt {
-            bestt = dt;
-            best_stats = dec.stats().clone();
-        }
-    }
-    (bestt, best_stats, min_imbalance)
-}
-
-/// Best-of-5 wall time of the pipelined decoder at exact worker counts,
-/// the stats of the fastest run, and the minimum load imbalance across
-/// the reps (see [`time_vld_parallel`] for why the minimum). Reusing
-/// one decoder across reps also exercises the persistent pools: reps
-/// after the first decode with warm buffers, as a long-running decoder
-/// would.
-fn time_pipeline(stream: &[u8], vld: usize, recon: usize) -> (f64, PipelineStats, f64) {
+/// Best-of-5 wall time of the engine at exact `(vld, recon)` worker
+/// counts, the stats of the fastest run, and the minimum load imbalance
+/// of the `swept` stage across the reps. The minimum is the partitioner's
+/// actual capability: on a time-sliced single-core host any individual
+/// rep's imbalance is inflated by preemption convoys (whichever worker
+/// the scheduler descheduled looks "slow"), and that noise only ever
+/// pushes the number up. Reusing one decoder across reps also exercises
+/// the persistent pools: reps after the first decode with warm buffers,
+/// as a long-running decoder would.
+fn time_engine(stream: &[u8], vld: usize, recon: usize, swept: Stage) -> (f64, PipelineStats, f64) {
     let mut dec = PipelineDecoder::new(vld, recon);
     let mut bestt = f64::INFINITY;
     let mut best_stats = PipelineStats::default();
@@ -911,13 +855,14 @@ fn time_pipeline(stream: &[u8], vld: usize, recon: usize) -> (f64, PipelineStats
         let t0 = Instant::now();
         let mut frames = 0usize;
         dec.decode_stream(stream, |_, _| frames += 1)
-            .expect("pipeline decode");
+            .expect("engine decode");
         let dt = t0.elapsed().as_secs_f64();
         std::hint::black_box(frames);
-        min_imbalance = min_imbalance.min(dec.stats().imbalance());
+        let st = dec.stats();
+        min_imbalance = min_imbalance.min(busy_ratios(swept.busy(st), st.wall_ns).1);
         if dt < bestt {
             bestt = dt;
-            best_stats = dec.stats().clone();
+            best_stats = st.clone();
         }
     }
     (bestt, best_stats, min_imbalance)
@@ -1010,28 +955,19 @@ fn render_json(
             .iter()
             .find(|p| p.workers == 4)
             .map_or(0.0, |p| p.pps);
-        let curve: Vec<String> = r
-            .vld_curve
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"workers\": {}, \"pps\": {:.0}, \"speedup\": {:.3}, \
-                     \"utilization\": {:.3}, \"imbalance\": {:.3}, \"model_pps\": {:.0}}}",
-                    p.workers, p.pps, p.speedup, p.utilization, p.imbalance, p.model_pps
-                )
-            })
-            .collect();
-        let rcurve: Vec<String> = r
-            .recon_curve
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"recon_workers\": {}, \"pps\": {:.0}, \"speedup\": {:.3}, \
-                     \"utilization\": {:.3}, \"imbalance\": {:.3}, \"model_pps\": {:.0}}}",
-                    p.recon_workers, p.pps, p.speedup, p.utilization, p.imbalance, p.model_pps
-                )
-            })
-            .collect();
+        let curve_json = |curve: &[CurvePoint], count_key: &str| {
+            let points: Vec<String> = curve
+                .iter()
+                .map(|p| {
+                    format!(
+                        "{{\"{count_key}\": {}, \"pps\": {:.0}, \"speedup\": {:.3}, \
+                         \"utilization\": {:.3}, \"imbalance\": {:.3}, \"model_pps\": {:.0}}}",
+                        p.workers, p.pps, p.speedup, p.utilization, p.imbalance, p.model_pps
+                    )
+                })
+                .collect();
+            points.join(",\n      ")
+        };
         s.push_str(&format!(
             concat!(
                 "    {{\"name\": \"{}\", \"width\": {}, \"height\": {}, \"frames\": {},\n",
@@ -1058,10 +994,10 @@ fn render_json(
             r.tiled_fps,
             r.steady_allocs,
             vld4,
-            curve.join(",\n      "),
+            curve_json(&r.vld_curve, "workers"),
             r.e2e_pipeline_pps,
             r.e2e_model_pps,
-            rcurve.join(",\n      "),
+            curve_json(&r.recon_curve, "recon_workers"),
             r.stages.scan_ns,
             r.stages.vld_ns,
             r.stages.pixel_ns,

@@ -1,12 +1,18 @@
-//! Parallel pixel-stage reconstruction with cross-picture pipelining.
+//! The node-local parallel engine: slice-parallel entropy decode feeding
+//! band-parallel pixel reconstruction, pipelined across pictures.
 //!
-//! PR 6 parallelized entropy decode, but `vld_share` ≈ 0.43–0.45 in
-//! `BENCH_decode.json`: the pixel stage (IDCT + MC + reconstruction) is
-//! still serial and caps whole-decoder speedup below ~1.8× no matter how
-//! many VLD workers run. This module fans the pixel stage out too:
+//! [`PipelineDecoder`] is the only threaded decode driver in this crate.
+//! Its two parameters are the per-stage worker counts `(vld, recon)`;
+//! `(0, 0)` is the sequential [`Decoder`], any other pair runs the
+//! pipeline with each stage clamped to at least one worker.
 //!
-//! * **Band recon** — after the slice-parallel VLD pass produces
-//!   [`SliceRecording`]s for a picture, the picture's macroblock rows are
+//! * **Slice-parallel VLD** — VLD workers run the recording walker
+//!   ([`record_slice`]) over contiguous slice ranges of one picture
+//!   against the *full* stream buffer, so every recorded bit position —
+//!   including error positions — matches the sequential decoder exactly.
+//!   Ranges are re-balanced each picture from a per-row entropy-cost EWMA.
+//! * **Band recon** — once a picture's [`SliceRecording`]s are in, its
+//!   macroblock rows are
 //!   partitioned into disjoint row bands (weighted by a per-row *pixel*
 //!   cost EWMA, independent of the VLD partition) and each band replays
 //!   its slices concurrently on a recon worker. Slices only write their
@@ -26,11 +32,12 @@
 //!   frames are ready: consecutive B pictures sharing an anchor pair —
 //!   and the P picture that closes the pair — reconstruct concurrently.
 //! * **Bit-exactness** — the stream's structure is validated up front
-//!   against [`Plan`]; anything the planner cannot prove it understands
-//!   (incomplete plan, slice-less pictures, missing references,
-//!   out-of-order slice rows) falls back to [`ParallelVldDecoder`],
-//!   which is the sequential decoder's own walk and therefore trivially
-//!   exact. On the fast path the only possible decode errors are slice
+//!   against [`Plan`] before any thread starts; anything the planner
+//!   cannot prove it understands (incomplete plan, slice-less pictures,
+//!   missing references, out-of-order slice rows) decodes on the
+//!   sequential [`Decoder`], which is trivially exact. Because the plan
+//!   is committed to whole or not at all, no per-slice escape hatch
+//!   exists. On the fast path the only possible decode errors are slice
 //!   outcomes recorded by the VLD workers; the coordinator emits
 //!   pictures strictly in stream order and returns the first erroring
 //!   picture's first erroring slice — value and bit position — exactly
@@ -49,22 +56,22 @@ use std::time::Instant;
 
 use tiledec_cluster::sync::{lock_ignore_poison, wait_ignore_poison};
 use tiledec_mpeg2::block::MbCoeffs;
-use tiledec_mpeg2::decoder::{flush_picture_info, StreamSummary};
+use tiledec_mpeg2::decoder::{flush_picture_info, Decoder, StreamSummary};
 use tiledec_mpeg2::motion::FrameRefs;
 use tiledec_mpeg2::recon::{MbSink, Reconstructor};
+use tiledec_mpeg2::resilient::decode_all_resilient_with;
 use tiledec_mpeg2::slice::SliceContext;
 use tiledec_mpeg2::types::{PictureInfo, PictureKind};
 use tiledec_mpeg2::vld::{record_slice, replay_slice, SliceRecording};
-use tiledec_mpeg2::{apply_display_patches, repair_stream, Error, Frame, StreamDamage};
+use tiledec_mpeg2::{Error, Frame, StreamDamage};
 
 use crate::vld_parallel::{
-    host_cpus, partition_by_weight_into, CostHistory, ParallelVldDecoder, Plan,
-    MIN_AUTO_PARALLEL_MBS, VLD_WORKERS_ENV,
+    busy_ratios, host_cpus, partition_by_weight_into, CostHistory, Plan, MIN_AUTO_PARALLEL_MBS,
+    VLD_WORKERS_ENV,
 };
 
 /// Environment variable selecting the reconstruction worker count for
-/// binaries that call [`PipelineDecoder::from_env`] (0 or unset = the
-/// VLD-only [`ParallelVldDecoder`] path).
+/// binaries that call [`PipelineDecoder::from_env`].
 pub const RECON_WORKERS_ENV: &str = "TILEDEC_RECON_WORKERS";
 
 /// Upper bound on worker counts accepted from the environment.
@@ -145,12 +152,26 @@ struct BandBuffer {
     mb_y1: usize,
 }
 
+/// Grows `v`'s capacity to at least `n` elements, contents untouched.
+fn reserve_to<T>(v: &mut Vec<T>, n: usize) {
+    v.reserve(n.saturating_sub(v.len()));
+}
+
 fn resize_zeroed(v: &mut Vec<u8>, n: usize) {
     v.clear();
     v.resize(n, 0);
 }
 
 impl BandBuffer {
+    /// Grows capacity to a `width × mb_rows·16` band without touching the
+    /// contents; [`prepare`](Self::prepare) zero-fills at dispatch.
+    fn reserve(&mut self, width: usize, mb_rows: usize) {
+        let luma = width.saturating_mul(mb_rows).saturating_mul(16);
+        reserve_to(&mut self.y, luma);
+        reserve_to(&mut self.cb, luma / 4);
+        reserve_to(&mut self.cr, luma / 4);
+    }
+
     /// Sizes the buffer for a band and zero-fills it — the same
     /// background [`Frame::zeroed`] gives rows no slice ever writes, so
     /// assembly can splice bands without pre-clearing the frame.
@@ -203,13 +224,11 @@ impl MbSink for BandSink<'_> {
 // Jobs and results
 // ---------------------------------------------------------------------
 
-/// A contiguous slice range of one picture for a VLD worker to record.
-/// `recs` is a recycled vector the worker records into (grown with
-/// default recordings if shorter than the range).
+/// A contiguous slice range of one picture for a VLD worker to record:
+/// slices `[lo, lo + recs.len())`, one recycled recording each.
 struct VldJob {
     pic: usize,
     lo: usize,
-    hi: usize,
     recs: Vec<SliceRecording>,
 }
 
@@ -217,20 +236,15 @@ struct VldJob {
 struct VldDone {
     pic: usize,
     lo: usize,
-    used: usize,
     recs: Vec<SliceRecording>,
     /// Wall time the worker spent recording this range.
     vld_ns: u64,
 }
 
 /// One VLD range's recordings: global slice indices
-/// `[lo, lo + used)` of its picture, in slice order. Recordings stay in
-/// the vector that recorded them for their whole life — never swapped
-/// element-wise between pools — so each vector's capacity high-water
-/// mark is hit at first use and reconstruction replay is a pure read.
+/// `[lo, lo + recs.len())` of its picture, in slice order.
 struct RecFrag {
     lo: usize,
-    used: usize,
     recs: Vec<SliceRecording>,
 }
 
@@ -247,12 +261,10 @@ impl PicRecs {
     /// The recording of global slice index `i`. Fragments are few (one
     /// per VLD range) and sorted, so a linear scan beats a search.
     fn get(&self, i: usize) -> &SliceRecording {
-        for f in &self.frags {
-            if i >= f.lo && i < f.lo + f.used {
-                return &f.recs[i - f.lo];
-            }
-        }
-        panic!("slice index {i} outside recorded fragments")
+        self.frags
+            .iter()
+            .find_map(|f| f.recs.get(i.checked_sub(f.lo)?))
+            .expect("slice index inside the recorded fragments")
     }
 }
 
@@ -317,8 +329,8 @@ struct PicStatic {
 /// own at least one slice, slice rows must be non-decreasing (so row
 /// bands map to contiguous slice ranges), and every P/B picture's
 /// references must exist when its first slice decodes. Any violation
-/// returns `None` and the caller takes the sequential-walk fallback
-/// before emitting anything.
+/// returns `None` and the caller decodes the stream sequentially,
+/// before any thread starts or anything is emitted.
 fn analyze(plan: &Plan) -> Option<Vec<PicStatic>> {
     if !plan.complete || plan.pictures.is_empty() || plan.final_seq.is_none() {
         return None;
@@ -386,9 +398,9 @@ fn analyze(plan: &Plan) -> Option<Vec<PicStatic>> {
 /// `decode_bench` publishes per recon worker count.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineStats {
-    /// VLD worker threads used on the fast path.
+    /// VLD worker threads used (0 = the stream decoded sequentially).
     pub vld_workers: usize,
-    /// Recon worker threads used (0 = delegated to the VLD-only path).
+    /// Recon worker threads used (0 = the stream decoded sequentially).
     pub recon_workers: usize,
     /// Worker counts the caller configured before auto-tune clamping.
     pub requested_vld_workers: usize,
@@ -411,9 +423,7 @@ pub struct PipelineStats {
     /// Coordinator time splicing bands into frames.
     pub assemble_ns: u64,
     /// Pipeline critical-path model (ns): `max(vld_stage, recon_stage)`
-    /// — the decode cost once both stages overlap on enough cores. The
-    /// VLD-only model charges `Σ max(vld, pixel)` per picture; banding
-    /// divides the pixel term, so this ceiling exceeds the VLD-only one.
+    /// — the decode cost once both stages overlap on enough cores.
     pub model_critical_ns: u64,
     /// Pictures decoded through the fast path.
     pub pictures: u64,
@@ -421,31 +431,21 @@ pub struct PipelineStats {
     pub bands: u64,
     /// Pictures demoted to a single band by the row-spill guard.
     pub single_band_pictures: u64,
-    /// True when the whole stream took the sequential-walk fallback
-    /// (plan incomplete / structure the pipeline cannot commit to).
+    /// True when the whole stream decoded on the sequential [`Decoder`]:
+    /// configured `(0, 0)`, auto-tune declined, or a plan the pipeline
+    /// cannot commit to (incomplete, or structure `analyze` rejects).
     pub sequential_fallback: bool,
 }
 
 impl PipelineStats {
     /// Mean recon-worker busy share of decode wall time.
     pub fn utilization(&self) -> f64 {
-        if self.recon_busy_ns.is_empty() || self.wall_ns == 0 {
-            return 0.0;
-        }
-        let mean = self.recon_busy_ns.iter().sum::<u64>() as f64 / self.recon_busy_ns.len() as f64;
-        mean / self.wall_ns as f64
+        busy_ratios(&self.recon_busy_ns, self.wall_ns).0
     }
 
     /// Max-over-mean recon-worker busy time (1.0 = perfectly balanced).
     pub fn imbalance(&self) -> f64 {
-        if self.recon_busy_ns.is_empty() {
-            return 0.0;
-        }
-        let mean = self.recon_busy_ns.iter().sum::<u64>() as f64 / self.recon_busy_ns.len() as f64;
-        if mean == 0.0 {
-            return 0.0;
-        }
-        self.recon_busy_ns.iter().copied().max().unwrap_or(0) as f64 / mean
+        busy_ratios(&self.recon_busy_ns, self.wall_ns).1
     }
 }
 
@@ -467,19 +467,14 @@ fn vld_worker_loop(data: &[u8], plan: &Plan, jobs: &Queue<VldJob>, results: &Que
             seq: &p.seq,
             pic: &p.info,
         };
-        let need = job.hi - job.lo;
-        while job.recs.len() < need {
-            job.recs.push(SliceRecording::default());
-        }
-        for (i, s) in p.slices[job.lo..job.hi].iter().enumerate() {
-            record_slice(data, s.offset, s.row, &ctx, &mut job.recs[i], &mut scratch);
+        for (s, rec) in p.slices.iter().skip(job.lo).zip(job.recs.iter_mut()) {
+            record_slice(data, s.offset, s.row, &ctx, rec, &mut scratch);
         }
         let vld_ns = t.elapsed().as_nanos() as u64;
         busy += vld_ns;
         results.push(Msg::Vld(VldDone {
             pic: job.pic,
             lo: job.lo,
-            used: need,
             recs: job.recs,
             vld_ns,
         }));
@@ -583,18 +578,23 @@ struct PicRuntime {
 /// Buffer pools, cost EWMAs and partitioning scratch that outlive a
 /// single decode call. Owned by [`PipelineDecoder`] and lent to the
 /// coordinator per run, so a long-running decoder (or a benchmark
-/// re-decoding the same stream) pays the pool zeroing and the capacity
-/// high-water climb once, not on every `decode_stream` call.
+/// re-decoding the same stream) pays the capacity high-water climb once,
+/// not on every `decode_stream` call.
 ///
-/// Everything cycles, nothing allocates once warm. Recordings stay in
-/// the vector that recorded them (fragments share via `Arc`, no element
-/// swaps), so each pooled vector's capacity high-water mark is reached
-/// at its first use. Round-robin queues (`pop_front`/`push_back`) keep
-/// the whole population circulating through real work instead of
-/// letting cold entries hide at the bottom of a stack.
+/// Everything cycles, nothing allocates once warm. Round-robin queues
+/// (`pop_front`/`push_back`) keep each population circulating through
+/// real work instead of letting cold entries hide at the bottom of a
+/// stack.
 #[derive(Default)]
 struct Pools {
-    recs: VecDeque<Vec<SliceRecording>>,
+    /// Spare recordings, one queue per slice index: slice `i` of every
+    /// picture records into a recording from queue `i`, so a recording
+    /// only ever holds slices at one position and its capacity
+    /// high-water mark does not depend on where the cost EWMA happens to
+    /// cut the VLD ranges.
+    recs: Vec<VecDeque<SliceRecording>>,
+    /// Emptied vectors that carry one VLD range's recordings.
+    rec_vecs: VecDeque<Vec<SliceRecording>>,
     /// Spare fragment vectors for `PicRuntime::frags`.
     frags: VecDeque<Vec<RecFrag>>,
     /// Fragment containers are only ever returned to the pool once
@@ -614,6 +614,18 @@ struct Pools {
     weights: Vec<u64>,
     est: Vec<u64>,
     ranges: Vec<std::ops::Range<usize>>,
+}
+
+impl Pools {
+    /// Returns a range's recordings to their per-slice queues and the
+    /// emptied vector to its pool.
+    fn recycle(&mut self, mut frag: RecFrag) {
+        let queues = self.recs.iter_mut().skip(frag.lo);
+        for (q, rec) in queues.zip(frag.recs.drain(..)) {
+            q.push_back(rec);
+        }
+        self.rec_vecs.push_back(frag.recs);
+    }
 }
 
 impl std::fmt::Debug for Pools {
@@ -679,8 +691,9 @@ impl<'q, 'p> Coord<'q, 'p> {
         // capacity only use can discover (recording vectors, fragment
         // containers) all reach their high-water marks during the warm-up
         // prefix instead of surfacing cold at a scheduling-dependent
-        // moment later. On a decoder's second call the pools arrive warm
-        // and this whole block is a no-op.
+        // moment later. The top-up only grows populations and capacities,
+        // so on a decoder's second call the pools arrive warm and this
+        // whole block is a no-op.
         let mut max_slices = 0usize;
         let (mut max_w, mut max_mbh) = (0usize, 0usize);
         for p in &plan.pictures {
@@ -689,7 +702,7 @@ impl<'q, 'p> Coord<'q, 'p> {
             max_mbh = max_mbh.max(p.seq.mb_height() as usize);
         }
         let vecs_in_flight = (WINDOW + 2) * vld_workers + 2;
-        let bands_in_flight = (WINDOW + 2) * recon_workers.max(1);
+        let bands_in_flight = (WINDOW + 2) * recon_workers;
         // Band buffers hold full-frame capacity: the pixel-cost EWMA can
         // legitimately hand one worker most of a picture's rows (and
         // single-band demotion of a corrupt picture hands it all of them),
@@ -699,15 +712,13 @@ impl<'q, 'p> Coord<'q, 'p> {
             pools.bands.push_back(BandBuffer::default());
         }
         for b in pools.bands.iter_mut() {
-            b.prepare(max_w, 0, max_mbh);
+            b.reserve(max_w, max_mbh);
         }
         while pools.ns.len() < bands_in_flight {
             pools.ns.push_back(Vec::new());
         }
         for v in pools.ns.iter_mut() {
-            if v.capacity() < max_slices {
-                v.reserve(max_slices - v.len());
-            }
+            reserve_to(v, max_slices);
         }
         // Worst case in flight: WINDOW pictures building, plus the held
         // reference and its transient clone during emission hand-over.
@@ -717,32 +728,35 @@ impl<'q, 'p> Coord<'q, 'p> {
                 .frames
                 .push(Arc::new(Frame::zeroed(max_w, max_mbh * 16)));
         }
-        while pools.recs.len() < vecs_in_flight {
-            pools.recs.push_back(Vec::new());
+        if pools.recs.len() < max_slices {
+            pools.recs.resize_with(max_slices, VecDeque::new);
+        }
+        for q in pools.recs.iter_mut() {
+            while q.len() < WINDOW + 2 {
+                q.push_back(SliceRecording::default());
+            }
+        }
+        while pools.rec_vecs.len() < vecs_in_flight {
+            pools.rec_vecs.push_back(Vec::new());
+        }
+        for v in pools.rec_vecs.iter_mut() {
+            reserve_to(v, max_slices);
         }
         // A picture has at most `vld_workers` fragments; size both the
         // spare containers and the ones living inside pooled `PicRecs`
         // up front, so the first push into each never allocates.
-        let frag_cap = vld_workers.max(1) + 1;
+        let frag_cap = vld_workers + 1;
         while pools.frags.len() < WINDOW + 4 {
-            pools.frags.push_back(Vec::with_capacity(frag_cap));
+            pools.frags.push_back(Vec::new());
         }
         for v in pools.frags.iter_mut() {
-            if v.capacity() < frag_cap {
-                v.reserve(frag_cap - v.len());
-            }
+            reserve_to(v, frag_cap);
         }
         while pools.arcs.len() < WINDOW + 4 {
-            pools.arcs.push_back(Arc::new(PicRecs {
-                frags: Vec::with_capacity(frag_cap),
-            }));
+            pools.arcs.push_back(Arc::new(PicRecs::default()));
         }
-        for a in pools.arcs.iter_mut() {
-            if let Some(c) = Arc::get_mut(a) {
-                if c.frags.capacity() < frag_cap {
-                    c.frags.reserve(frag_cap - c.frags.len());
-                }
-            }
+        for c in pools.arcs.iter_mut().filter_map(Arc::get_mut) {
+            reserve_to(&mut c.frags, frag_cap);
         }
         let placeholder = pools
             .placeholder
@@ -845,11 +859,16 @@ impl<'q, 'p> Coord<'q, 'p> {
             rt.ranges_out = self.pools.ranges.len();
             let ranges = mem::take(&mut self.pools.ranges);
             for range in &ranges {
-                let job_recs = self.pools.recs.pop_front().unwrap_or_default();
+                let mut job_recs = self.pools.rec_vecs.pop_front().unwrap_or_default();
+                let queues = self.pools.recs.iter_mut().skip(range.start);
+                job_recs.extend(
+                    queues
+                        .take(range.len())
+                        .map(|q| q.pop_front().unwrap_or_default()),
+                );
                 self.vld_jobs.push(VldJob {
                     pic: p,
                     lo: range.start,
-                    hi: range.end,
                     recs: job_recs,
                 });
                 self.in_flight += 1;
@@ -862,7 +881,6 @@ impl<'q, 'p> Coord<'q, 'p> {
         let rt = &mut self.pics[msg.pic];
         rt.frags.push(RecFrag {
             lo: msg.lo,
-            used: msg.used,
             recs: msg.recs,
         });
         rt.vld_max_ns = rt.vld_max_ns.max(msg.vld_ns);
@@ -879,7 +897,7 @@ impl<'q, 'p> Coord<'q, 'p> {
         let kind = self.plan.pictures[msg.pic].info.kind;
         let mut first_error = None;
         for frag in &rt.frags {
-            for rec in &frag.recs[..frag.used] {
+            for rec in &frag.recs {
                 if first_error.is_none() {
                     first_error = rec.outcome().cloned();
                 }
@@ -904,12 +922,10 @@ impl<'q, 'p> Coord<'q, 'p> {
     /// band boundary.
     fn rows_self_contained(&self, p: usize) -> bool {
         self.pics[p].frags.iter().all(|frag| {
-            frag.recs[..frag.used]
-                .iter()
-                .all(|rec| match rec.mb_row_span() {
-                    None => true,
-                    Some((lo, hi)) => lo == rec.row() && hi == rec.row(),
-                })
+            frag.recs.iter().all(|rec| match rec.mb_row_span() {
+                None => true,
+                Some((lo, hi)) => lo == rec.row() && hi == rec.row(),
+            })
         })
     }
 
@@ -1091,7 +1107,7 @@ impl<'q, 'p> Coord<'q, 'p> {
                 let container = Arc::get_mut(&mut shared)
                     .expect("workers release shared recordings before BandDone");
                 for frag in container.frags.drain(..) {
-                    self.pools.recs.push_back(frag.recs);
+                    self.pools.recycle(frag);
                 }
                 self.pools.arcs.push_back(shared);
             }
@@ -1182,14 +1198,14 @@ impl<'q, 'p> Coord<'q, 'p> {
             if let Some(mut shared) = rt.shared.take() {
                 if let Some(c) = Arc::get_mut(&mut shared) {
                     for frag in c.frags.drain(..) {
-                        self.pools.recs.push_back(frag.recs);
+                        self.pools.recycle(frag);
                     }
                     self.pools.arcs.push_back(shared);
                 }
             }
             let mut frags = mem::take(&mut rt.frags);
             for frag in frags.drain(..) {
-                self.pools.recs.push_back(frag.recs);
+                self.pools.recycle(frag);
             }
             if frags.capacity() > 0 {
                 self.pools.frags.push_back(frags);
@@ -1208,8 +1224,8 @@ fn run_pipeline(
     pools: &mut Pools,
     mut on_frame: impl FnMut(&Frame, &PictureInfo),
 ) -> (Result<StreamSummary, Error>, PipelineStats) {
-    let vld_jobs = Queue::<VldJob>::with_capacity((WINDOW + 2) * vld_workers.max(1));
-    let recon_jobs = Queue::<ReconJob>::with_capacity((WINDOW + 2) * recon_workers.max(1));
+    let vld_jobs = Queue::<VldJob>::with_capacity((WINDOW + 2) * vld_workers);
+    let recon_jobs = Queue::<ReconJob>::with_capacity((WINDOW + 2) * recon_workers);
     let results = Queue::<Msg>::with_capacity((WINDOW + 2) * (vld_workers + recon_workers + 2));
     thread::scope(|s| {
         let vld_handles: Vec<_> = (0..vld_workers)
@@ -1300,10 +1316,10 @@ fn run_pipeline(
 // Public decoder
 // ---------------------------------------------------------------------
 
-/// Fully pipelined MPEG-2 decoder: slice-parallel VLD feeding
+/// The node-local parallel MPEG-2 decoder: slice-parallel VLD feeding
 /// band-parallel pixel reconstruction with cross-picture overlap.
-/// Bit-exact with [`tiledec_mpeg2::Decoder::decode_stream`] — frames,
-/// errors and error bit positions — for every stream and worker count.
+/// Bit-exact with [`Decoder::decode_stream`] — frames, errors and error
+/// bit positions — for every stream and worker count.
 #[derive(Debug, Default)]
 pub struct PipelineDecoder {
     vld_workers: usize,
@@ -1311,17 +1327,17 @@ pub struct PipelineDecoder {
     auto_tune: bool,
     last_stats: PipelineStats,
     /// Pools persist across `decode_stream` calls: a long-running
-    /// decoder pays the pool warm-up (buffer zeroing, capacity climbs,
-    /// cost-EWMA calibration) once, not per call.
+    /// decoder pays the pool warm-up (capacity climbs, cost-EWMA
+    /// calibration) once, not per call.
     pools: Pools,
 }
 
 impl PipelineDecoder {
     /// Creates a decoder with exact worker counts (no auto-tuning), for
-    /// tests and benchmarks that pin the machinery. `recon_workers = 0`
-    /// delegates to the VLD-only [`ParallelVldDecoder`] path; a positive
-    /// recon count with `vld_workers = 0` runs one VLD worker (the
-    /// pipeline needs recordings to replay).
+    /// tests and benchmarks that pin the machinery. `(0, 0)` is the
+    /// sequential [`Decoder`]; any other pair pipelines with each stage
+    /// clamped to at least one worker, so "VLD-parallel only" is `(n, 1)`
+    /// and "recon-parallel only" is `(1, n)`.
     pub fn new(vld_workers: usize, recon_workers: usize) -> Self {
         PipelineDecoder {
             vld_workers: vld_workers.min(MAX_WORKERS),
@@ -1333,10 +1349,11 @@ impl PipelineDecoder {
     }
 
     /// Like [`new`](Self::new) but both counts are upper bounds, clamped
-    /// per stream to the picture's row count and to [`host_cpus()`], and
-    /// tiny streams decode sequentially — the same policy as
-    /// [`ParallelVldDecoder::auto_tuned`]. The clamp decision is
-    /// recorded in [`PipelineStats`].
+    /// per stream to the picture's row count (extra workers would only
+    /// idle) and to [`host_cpus()`] (oversubscribed workers time-slice
+    /// one core and only add imbalance), and streams whose pictures are
+    /// all below [`MIN_AUTO_PARALLEL_MBS`] macroblocks decode
+    /// sequentially. The clamp decision is recorded in [`PipelineStats`].
     pub fn auto_tuned(vld_workers: usize, recon_workers: usize) -> Self {
         PipelineDecoder {
             auto_tune: true,
@@ -1345,7 +1362,9 @@ impl PipelineDecoder {
     }
 
     /// Reads worker counts from [`VLD_WORKERS_ENV`] and
-    /// [`RECON_WORKERS_ENV`] (unset/invalid = 0), auto-tuned.
+    /// [`RECON_WORKERS_ENV`] (unset/invalid = 0), auto-tuned: neither set
+    /// decodes sequentially, one set runs that stage at up to the given
+    /// count and the other stage on one worker.
     pub fn from_env() -> Self {
         let read = |var: &str| {
             std::env::var(var)
@@ -1354,11 +1373,6 @@ impl PipelineDecoder {
                 .unwrap_or(0)
         };
         Self::auto_tuned(read(VLD_WORKERS_ENV), read(RECON_WORKERS_ENV))
-    }
-
-    /// Configured (vld, recon) worker counts.
-    pub fn workers(&self) -> (usize, usize) {
-        (self.vld_workers, self.recon_workers)
     }
 
     /// Measurements of the most recent decode.
@@ -1376,24 +1390,18 @@ impl PipelineDecoder {
     ) -> Result<StreamSummary, Error> {
         let start = Instant::now();
         let cpus = host_cpus();
-        if self.recon_workers == 0 {
-            return self.delegate(data, on_frame, start, cpus);
-        }
-        let plan = Plan::build(data);
-        let statics = analyze(&plan);
-        let (vld, recon) = if self.auto_tune {
-            self.auto_counts(&plan, cpus)
-        } else {
-            (self.vld_workers.max(1), self.recon_workers)
+        let (result, mut stats) = match self.commit(data, cpus) {
+            Some((plan, statics, vld, recon)) => {
+                run_pipeline(data, &plan, &statics, vld, recon, &mut self.pools, on_frame)
+            }
+            None => (
+                Decoder::new().decode_stream(data, on_frame),
+                PipelineStats {
+                    sequential_fallback: true,
+                    ..PipelineStats::default()
+                },
+            ),
         };
-        let Some(statics) = statics else {
-            return self.delegate(data, on_frame, start, cpus);
-        };
-        if recon == 0 || plan.slice_count() == 0 {
-            return self.delegate(data, on_frame, start, cpus);
-        }
-        let (result, mut stats) =
-            run_pipeline(data, &plan, &statics, vld, recon, &mut self.pools, on_frame);
         stats.wall_ns = start.elapsed().as_nanos() as u64;
         stats.requested_vld_workers = self.vld_workers;
         stats.requested_recon_workers = self.recon_workers;
@@ -1402,50 +1410,37 @@ impl PipelineDecoder {
         result
     }
 
-    /// Whole-stream fallback: the VLD-only parallel decoder, which *is*
-    /// the sequential decoder's walk (bit-exact by PR 6's property
-    /// tests), possibly with zero workers (pure sequential).
-    fn delegate(
-        &mut self,
-        data: &[u8],
-        on_frame: impl FnMut(&Frame, &PictureInfo),
-        start: Instant,
-        cpus: usize,
-    ) -> Result<StreamSummary, Error> {
-        let mut inner = if self.auto_tune {
-            ParallelVldDecoder::auto_tuned(self.vld_workers)
+    /// The validated plan and the `(vld, recon)` worker counts to
+    /// pipeline `data` with, or `None` when the stream decodes
+    /// sequentially: `(0, 0)` configured, auto-tune declined, or a plan
+    /// [`analyze`] rejects.
+    fn commit(&self, data: &[u8], cpus: usize) -> Option<(Plan, Vec<PicStatic>, usize, usize)> {
+        if (self.vld_workers, self.recon_workers) == (0, 0) {
+            return None;
+        }
+        let plan = Plan::build(data);
+        let (vld, recon) = if self.auto_tune {
+            self.auto_counts(&plan, cpus)?
         } else {
-            ParallelVldDecoder::new(self.vld_workers)
+            (self.vld_workers, self.recon_workers)
         };
-        let result = inner.decode_stream(data, on_frame);
-        self.last_stats = PipelineStats {
-            vld_workers: inner.stats().workers,
-            recon_workers: 0,
-            requested_vld_workers: self.vld_workers,
-            requested_recon_workers: self.recon_workers,
-            host_cpus: cpus,
-            wall_ns: start.elapsed().as_nanos() as u64,
-            sequential_fallback: true,
-            ..PipelineStats::default()
-        };
-        result
+        let statics = analyze(&plan)?;
+        Some((plan, statics, vld.max(1), recon.max(1)))
     }
 
     /// Auto-tune clamp: worker counts bounded by the widest picture's
-    /// row count and the host CPU count; tiny streams go sequential.
-    fn auto_counts(&self, plan: &Plan, cpus: usize) -> (usize, usize) {
+    /// row count and the host CPU count; `None` (sequential) when every
+    /// picture is tiny.
+    fn auto_counts(&self, plan: &Plan, cpus: usize) -> Option<(usize, usize)> {
         let mut max_rows = 0usize;
         let mut max_mbs = 0u32;
         for p in &plan.pictures {
             max_rows = max_rows.max(p.seq.mb_height() as usize);
             max_mbs = max_mbs.max(p.seq.mb_width().saturating_mul(p.seq.mb_height()));
         }
-        if max_mbs < MIN_AUTO_PARALLEL_MBS {
-            return (self.vld_workers.min(cpus), 0);
-        }
-        let vld = self.vld_workers.min(max_rows).min(cpus).max(1);
-        let recon = self.recon_workers.min(max_rows).min(cpus);
-        (vld, recon)
+        let clamp = |n: usize| n.min(max_rows).min(cpus);
+        (max_mbs >= MIN_AUTO_PARALLEL_MBS)
+            .then(|| (clamp(self.vld_workers), clamp(self.recon_workers)))
     }
 
     /// Decodes a whole stream into display-order frames.
@@ -1455,26 +1450,14 @@ impl PipelineDecoder {
         Ok(frames)
     }
 
-    /// Decodes under `ErrorPolicy::Resilient`: optimistic strict pass,
-    /// then deterministic [`repair_stream`] + strict re-decode on
-    /// failure — identical construction to
-    /// [`ParallelVldDecoder::decode_all_resilient`], so parallel ≡
-    /// sequential under damage by construction.
+    /// Decodes under `ErrorPolicy::Resilient`:
+    /// [`decode_all_resilient_with`] over [`decode_all`](Self::decode_all),
+    /// so parallel ≡ sequential under damage by construction.
     pub fn decode_all_resilient(
         &mut self,
         data: &[u8],
     ) -> Result<(Vec<Frame>, StreamDamage), Error> {
-        match self.decode_all(data) {
-            Ok(frames) => Ok((frames, StreamDamage::clean())),
-            Err(_) => {
-                let repaired = repair_stream(data)?;
-                let mut frames = self
-                    .decode_all(&repaired.bytes)
-                    .map_err(|e| Error::Syntax(format!("repair invariant violated: {e}")))?;
-                apply_display_patches(&mut frames, &repaired.patches);
-                Ok((frames, repaired.damage))
-            }
-        }
+        decode_all_resilient_with(data, |bytes| self.decode_all(bytes))
     }
 }
 
@@ -1539,9 +1522,9 @@ mod tests {
     }
 
     #[test]
-    fn stats_ratios() {
+    fn stats_ratios_read_the_recon_stage() {
         let s = PipelineStats {
-            recon_workers: 2,
+            vld_busy_ns: vec![400],
             recon_busy_ns: vec![100, 300],
             wall_ns: 400,
             ..PipelineStats::default()

@@ -198,16 +198,24 @@ fn pipeline_steady_state_is_allocation_free() {
         .encode(&clip(w as usize, h as usize, frames))
         .unwrap();
 
-    // One VLD worker: each picture is a single full-length range, so the
-    // recording-vector population is fixed after the initial dispatch
-    // burst regardless of how the cost EWMA partitions would jitter.
-    // Band partitions may still shift with measured pixel cost, but bands
-    // share recordings read-only and band buffers are pre-warmed to the
-    // worst-case split, so no allocation rides on the jitter.
-    let mut dec = PipelineDecoder::new(1, 2);
+    // (1, 2): one VLD worker makes each picture a single full-length
+    // range, so the recording-vector population is fixed after the
+    // initial dispatch burst regardless of how the cost EWMA partitions
+    // would jitter. Band partitions may still shift with measured pixel
+    // cost, but bands share recordings read-only and band buffers are
+    // pre-warmed to the worst-case split, so no allocation rides on the
+    // jitter.
+    audit_pipeline(&stream, frames, 1, 2);
+    // (2, 1): what every former `ParallelVldDecoder` caller now runs (that
+    // engine allocated a `Vec` per job and two `HashMap`s per decode).
+    audit_pipeline(&stream, frames, 2, 1);
+}
+
+fn audit_pipeline(stream: &[u8], frames: usize, vld: usize, recon: usize) {
+    let mut dec = PipelineDecoder::new(vld, recon);
     let mut between: Vec<u64> = Vec::with_capacity(frames + 1);
     let mut last = ALLOCS.load(Ordering::Relaxed);
-    dec.decode_stream(&stream, |_f: &Frame, _| {
+    dec.decode_stream(stream, |_f: &Frame, _| {
         let now = ALLOCS.load(Ordering::Relaxed);
         between.push(now - last);
         last = now;
@@ -227,7 +235,7 @@ fn pipeline_steady_state_is_allocation_free() {
         assert_eq!(
             *n,
             0,
-            "pipelined decode: {n} heap allocations between frames {} and {i}",
+            "({vld},{recon}) decode: {n} heap allocations between frames {} and {i}",
             i - 1
         );
     }

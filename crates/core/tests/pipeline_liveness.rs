@@ -64,11 +64,15 @@ fn repeated_decode_with_many_recon_workers_terminates() {
     std::thread::spawn(move || {
         // Many recon workers maximise bands per picture and out-of-order
         // completion; 2 VLD workers keep the lookahead window saturated.
-        let mut dec = PipelineDecoder::new(2, 8);
-        for _ in 0..5 {
-            let mut n = 0usize;
-            dec.decode_stream(&stream, |_, _| n += 1).expect("decode");
-            assert_eq!(n, frames);
+        // (3, 1) is the opposite corner: out-of-order VLD ranges feeding a
+        // single recon worker that every picture queues behind.
+        for (vld, recon) in [(2, 8), (3, 1)] {
+            let mut dec = PipelineDecoder::new(vld, recon);
+            for _ in 0..5 {
+                let mut n = 0usize;
+                dec.decode_stream(&stream, |_, _| n += 1).expect("decode");
+                assert_eq!(n, frames);
+            }
         }
         tx.send(()).ok();
     });

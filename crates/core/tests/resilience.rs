@@ -1,7 +1,7 @@
 //! Chaos suite for [`ErrorPolicy::Resilient`]: seeded fault plans applied
-//! to valid streams, decoded through every back-end — sequential,
-//! VLD-parallel at several worker counts, the slice-level baseline and
-//! the threaded 2×2 tiled system — asserting termination, full-geometry
+//! to valid streams, decoded through every back-end — sequential, the
+//! node-local engine at several VLD worker counts, the slice-level
+//! baseline and the threaded 2×2 tiled system — asserting termination, full-geometry
 //! frames, cross-back-end bit-exactness and deterministic
 //! [`StreamDamage`] ledgers. A damaged stream either decodes identically
 //! everywhere or is structurally unrecoverable everywhere; there is no
@@ -13,8 +13,7 @@
 
 use tiledec_bitstream::fault::FaultPlan;
 use tiledec_core::slice_level::run_slice_level_resilient;
-use tiledec_core::vld_parallel::ParallelVldDecoder;
-use tiledec_core::{SystemConfig, ThreadedSystem};
+use tiledec_core::{PipelineDecoder, SystemConfig, ThreadedSystem};
 use tiledec_mpeg2::encoder::{Encoder, EncoderConfig};
 use tiledec_mpeg2::{decode_all, decode_all_resilient, ErrorPolicy, Frame, StreamDamage};
 
@@ -38,7 +37,8 @@ impl Rng {
     }
 }
 
-/// Worker counts the VLD-parallel back-end is swept over.
+/// VLD worker counts the node-local engine is swept over (one recon
+/// worker; `recon_parallel.rs` covers the recon sweep under damage).
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Base seeds for the chaos sweep. Kept small enough that the full
@@ -138,7 +138,7 @@ fn damaged_streams_decode_identically_across_backends() {
         let reference = sequential(&data);
 
         for workers in WORKER_COUNTS {
-            let got = ParallelVldDecoder::new(workers)
+            let got = PipelineDecoder::new(workers, 1)
                 .decode_all_resilient(&data)
                 .map_err(|e| e.to_string());
             match (&reference, &got) {
@@ -238,7 +238,7 @@ fn truncation_and_bursts_terminate_in_agreement() {
         let plan = FaultPlan::sample(seed ^ 0xB00, clean.len(), 6, 3, true);
         let data = plan.apply(&clean);
         let reference = sequential(&data);
-        let got = ParallelVldDecoder::new(3)
+        let got = PipelineDecoder::new(3, 1)
             .decode_all_resilient(&data)
             .map_err(|e| e.to_string());
         match (&reference, &got) {
@@ -271,7 +271,7 @@ fn random_bytes_never_panic() {
             data[at..at + 3].copy_from_slice(&[0, 0, 1]);
         }
         let _ = decode_all_resilient(&data);
-        let _ = ParallelVldDecoder::new(2).decode_all_resilient(&data);
+        let _ = PipelineDecoder::new(2, 1).decode_all_resilient(&data);
         let _ = tiledec_mpeg2::repair_stream(&data);
         let _ = case;
     }
@@ -290,7 +290,7 @@ fn resilient_on_clean_streams_is_invisible() {
     assert_frames_equal(&frames, &strict, "sequential resilient on clean");
 
     for workers in WORKER_COUNTS {
-        let (pf, pd) = ParallelVldDecoder::new(workers)
+        let (pf, pd) = PipelineDecoder::new(workers, 1)
             .decode_all_resilient(&data)
             .expect("vld resilient");
         assert!(pd.clean, "vld-{workers}: clean ledger");

@@ -27,51 +27,6 @@ pub struct StreamSummary {
     pub pictures: usize,
 }
 
-/// Executes the macroblock data of one slice during a stream decode.
-///
-/// [`Decoder::decode_stream_with`] calls this once per slice start code,
-/// after the usual structural checks (sequence/picture headers present,
-/// coding extension parsed, references available), with the reader
-/// positioned right after the start code and a [`Reconstructor`] wired to
-/// the current picture and its reference frames, plus the decoder's
-/// coefficient workspace for the walk to fill and `recon` to drain.
-///
-/// The sequential path ([`InlineSlices`]) parses and reconstructs in one
-/// interleaved walk. The slice-parallel VLD layer in `tiledec-core`
-/// substitutes an executor that replays entropy-decode output recorded by
-/// worker threads; because every structural decision stays inside
-/// [`Decoder`], any executor that reproduces `parse_slice`'s visitor calls
-/// and result is automatically bit-exact with the sequential decoder —
-/// including error values and their bit positions.
-pub trait SliceExecutor {
-    /// Decodes one slice. `row` is `start_code_value - 1`; `r` is
-    /// positioned at the first bit after the slice start code.
-    fn run_slice(
-        &mut self,
-        r: &mut BitReader<'_>,
-        ctx: &SliceContext<'_>,
-        row: u32,
-        recon: &mut Reconstructor<'_, FrameRefs<'_>, FrameSink<'_>>,
-        coeffs: &mut MbCoeffs,
-    ) -> Result<()>;
-}
-
-/// The sequential [`SliceExecutor`]: parse and reconstruct inline.
-pub struct InlineSlices;
-
-impl SliceExecutor for InlineSlices {
-    fn run_slice(
-        &mut self,
-        r: &mut BitReader<'_>,
-        ctx: &SliceContext<'_>,
-        row: u32,
-        recon: &mut Reconstructor<'_, FrameRefs<'_>, FrameSink<'_>>,
-        coeffs: &mut MbCoeffs,
-    ) -> Result<()> {
-        parse_slice(r, ctx, row, recon, coeffs)
-    }
-}
-
 /// Streaming decoder state. Frames are delivered in **display order**
 /// through the sink callback; reference frames are the only pictures kept
 /// in memory, and a frame that leaves the reference window (or a B frame
@@ -113,19 +68,7 @@ impl Decoder {
     pub fn decode_stream(
         &mut self,
         data: &[u8],
-        on_frame: impl FnMut(&Frame, &PictureInfo),
-    ) -> Result<StreamSummary> {
-        self.decode_stream_with(data, on_frame, &mut InlineSlices)
-    }
-
-    /// Decodes a whole elementary stream with a caller-supplied
-    /// [`SliceExecutor`] deciding how slice macroblock data is produced.
-    /// [`Decoder::decode_stream`] is this with [`InlineSlices`].
-    pub fn decode_stream_with(
-        &mut self,
-        data: &[u8],
         mut on_frame: impl FnMut(&Frame, &PictureInfo),
-        exec: &mut dyn SliceExecutor,
     ) -> Result<StreamSummary> {
         let mut scanner = StartCodeScanner::new(data);
         loop {
@@ -189,7 +132,7 @@ impl Decoder {
                 }
                 StartCode::USER_DATA => {}
                 c if StartCode { offset: 0, code: c }.is_slice() => {
-                    self.decode_slice_code(&mut r, c, exec)?;
+                    self.decode_slice_code(&mut r, c)?;
                 }
                 other => {
                     return Err(Error::Syntax(format!("unexpected start code {other:#04x}")));
@@ -220,12 +163,7 @@ impl Decoder {
         })
     }
 
-    fn decode_slice_code(
-        &mut self,
-        r: &mut BitReader<'_>,
-        code: u8,
-        exec: &mut dyn SliceExecutor,
-    ) -> Result<()> {
+    fn decode_slice_code(&mut self, r: &mut BitReader<'_>, code: u8) -> Result<()> {
         let seq = self
             .seq
             .as_ref()
@@ -260,7 +198,7 @@ impl Decoder {
                 sink: &mut sink,
             };
             let ctx = SliceContext { seq, pic: info };
-            exec.run_slice(r, &ctx, (code - 1) as u32, &mut recon, &mut self.coeffs)?;
+            parse_slice(r, &ctx, (code - 1) as u32, &mut recon, &mut self.coeffs)?;
             *any_slice = true;
             Ok(())
         })();

@@ -57,7 +57,7 @@ pub mod types;
 pub mod vld;
 pub mod y4m;
 
-pub use decoder::{decode_all, flush_picture_info, Decoder, InlineSlices, SliceExecutor};
+pub use decoder::{decode_all, flush_picture_info, Decoder};
 pub use encoder::{Encoder, EncoderConfig};
 pub use error::{Error, Result};
 pub use frame::{Frame, FrameBandMut, FramePool, Layout, Plane, PlaneBandMut, RowMajorPlane};

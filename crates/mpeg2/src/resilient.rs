@@ -174,6 +174,17 @@ pub struct RepairedStream {
 /// structural: no usable sequence header, or an internal repair invariant
 /// violation (a bug, surfaced rather than masked).
 pub fn decode_all_resilient(data: &[u8]) -> Result<(Vec<Frame>, StreamDamage)> {
+    decode_all_resilient_with(data, decode_all)
+}
+
+/// [`decode_all_resilient`] over any strict whole-stream decoder. The
+/// repaired stream is an ordinary valid elementary stream, so a
+/// `decode_all` that is bit-exact with the sequential one on valid streams
+/// yields identical frames and ledger under damage by construction.
+pub fn decode_all_resilient_with(
+    data: &[u8],
+    mut decode_all: impl FnMut(&[u8]) -> Result<Vec<Frame>>,
+) -> Result<(Vec<Frame>, StreamDamage)> {
     match decode_all(data) {
         Ok(frames) => Ok((frames, StreamDamage::clean())),
         Err(_) => {

@@ -13,10 +13,8 @@
 //!   contends the same lock behind an unbounded wait. Both shapes are
 //!   caught: a *named* guard binding whose scope contains a blocking
 //!   call, and a *temporary* guard chained directly into one
-//!   (`lock(..).recv()`). The one deliberate site — the shared-receiver
-//!   job queue in `vld_parallel::worker_loop`, where holding the lock
-//!   across `recv` *is* the queue discipline — is frozen in
-//!   `crates/xtask/concurrency-allowlist.txt`.
+//!   (`lock(..).recv()`). Reviewed exceptions are frozen in
+//!   `crates/xtask/concurrency-allowlist.txt` (none today).
 //!
 //! Scope: production sources only (`src/` trees, test modules masked);
 //! test code may use whatever lock style it is asserting about.

@@ -5,11 +5,12 @@
 //! tiledec-decode input.m2v|input.mpg output.y4m
 //! ```
 //!
-//! Set `TILEDEC_VLD_WORKERS=N` to run entropy decode on N worker threads
-//! (slice-parallel VLD), and `TILEDEC_RECON_WORKERS=M` on top to fan
-//! pixel reconstruction out over M band workers with cross-picture
-//! pipelining; output stays bit-exact with the sequential path either
-//! way.
+//! `TILEDEC_VLD_WORKERS=N` and `TILEDEC_RECON_WORKERS=M` size the two
+//! stages of the node-local pipeline (slice-parallel entropy decode, band
+//! reconstruction): with neither set the decode is sequential, with one
+//! set that stage gets up to that many workers and the other stage one,
+//! with both set each stage gets up to its count. Output is bit-exact
+//! with the sequential path in every case.
 
 use std::fs::File;
 use std::io::BufWriter;
@@ -65,12 +66,6 @@ fn run() -> Result<String, String> {
     let mut frames = 0usize;
     let mut write_error: Option<String> = None;
     let mut decoder = PipelineDecoder::from_env();
-    let (vld, recon) = decoder.workers();
-    if recon > 0 {
-        eprintln!("pipelined decode: {vld} VLD workers, {recon} recon workers");
-    } else if vld > 0 {
-        eprintln!("slice-parallel VLD: {vld} workers");
-    }
     let summary = decoder
         .decode_stream(&es, |frame, _| {
             if write_error.is_none() {
@@ -81,6 +76,13 @@ fn run() -> Result<String, String> {
             }
         })
         .map_err(|e| e.to_string())?;
+    let stats = decoder.stats();
+    if !stats.sequential_fallback {
+        eprintln!(
+            "pipelined decode: {} VLD workers, {} recon workers",
+            stats.vld_workers, stats.recon_workers
+        );
+    }
     if let Some(e) = write_error {
         return Err(e);
     }

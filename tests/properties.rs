@@ -8,7 +8,6 @@
 
 use tiledec::bitstream::{BitReader, BitWriter, StartCode, StartCodeIndex};
 use tiledec::core::recon_parallel::PipelineDecoder;
-use tiledec::core::vld_parallel::ParallelVldDecoder;
 use tiledec::core::{SystemConfig, ThreadedSystem};
 use tiledec::mpeg2::encoder::{Encoder, EncoderConfig};
 use tiledec::mpeg2::frame::Frame;
@@ -179,10 +178,12 @@ fn every_backend_agrees_on_off_default_coding_options() {
         "downloaded matrices had no effect"
     );
 
-    let vld = ParallelVldDecoder::new(2).decode_all(&stream).unwrap();
-    assert!(vld == reference, "ParallelVldDecoder(2) differs");
-    let pipe = PipelineDecoder::new(2, 2).decode_all(&stream).unwrap();
-    assert!(pipe == reference, "PipelineDecoder(2,2) differs");
+    for (vld, recon) in [(2, 1), (2, 2)] {
+        let pipe = PipelineDecoder::new(vld, recon)
+            .decode_all(&stream)
+            .unwrap();
+        assert!(pipe == reference, "PipelineDecoder({vld},{recon}) differs");
+    }
     let wall = ThreadedSystem::new(SystemConfig::new(1, (2, 2)))
         .play(&stream)
         .unwrap();
