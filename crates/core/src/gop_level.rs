@@ -92,7 +92,7 @@ pub fn run_gop_level(stream: &[u8], geom: &WallGeometry) -> Result<GopLevelResul
             .map_err(CoreError::Codec)?;
         // Redistribution: the decoding node keeps only its own tile of
         // every frame; all other tiles travel to their display nodes.
-        for frame in &frames {
+        for _ in &frames {
             for t in geom.iter_tiles() {
                 let display_node = 1 + geom.index_of(t);
                 if display_node == decoder_node {
@@ -102,7 +102,6 @@ pub fn run_gop_level(stream: &[u8], geom: &WallGeometry) -> Result<GopLevelResul
                 let tile_bytes = (r.w as u64 * r.h as u64) * 3 / 2; // 4:2:0
                 traffic.record(decoder_node, display_node, tile_bytes);
             }
-            let _ = frame;
         }
         per_gop_frames.push(frames);
     }

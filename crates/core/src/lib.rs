@@ -45,7 +45,7 @@ pub mod wire;
 use std::fmt;
 
 pub use config::SystemConfig;
-pub use recon_parallel::{PipelineDecoder, PipelineStats, RECON_WORKERS_ENV};
+pub use recon_parallel::{PipelineDecoder, PipelineStats};
 pub use simulated::SimulatedSystem;
 pub use slice_level::{run_slice_level, run_slice_level_resilient, SliceLevelResult};
 pub use splitter::{split_picture_units, MacroblockSplitter, SplitOutput};

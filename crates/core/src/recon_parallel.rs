@@ -67,14 +67,9 @@ use tiledec_mpeg2::{Error, Frame, StreamDamage};
 
 use crate::vld_parallel::{
     busy_ratios, host_cpus, partition_by_weight_into, CostHistory, Plan, MIN_AUTO_PARALLEL_MBS,
-    VLD_WORKERS_ENV,
 };
 
-/// Environment variable selecting the reconstruction worker count for
-/// binaries that call [`PipelineDecoder::from_env`].
-pub const RECON_WORKERS_ENV: &str = "TILEDEC_RECON_WORKERS";
-
-/// Upper bound on worker counts accepted from the environment.
+/// Upper bound on either stage's worker count, whatever a caller asks for.
 const MAX_WORKERS: usize = 64;
 
 /// Pictures allowed in flight past the next emission: bounds frame-pool
@@ -394,8 +389,7 @@ fn analyze(plan: &Plan) -> Option<Vec<PicStatic>> {
 // Stats
 // ---------------------------------------------------------------------
 
-/// Aggregated measurements of one pipelined decode, including the fields
-/// `decode_bench` publishes per recon worker count.
+/// Aggregated measurements of one pipelined decode.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineStats {
     /// VLD worker threads used (0 = the stream decoded sequentially).
@@ -1359,20 +1353,6 @@ impl PipelineDecoder {
             auto_tune: true,
             ..Self::new(vld_workers, recon_workers)
         }
-    }
-
-    /// Reads worker counts from [`VLD_WORKERS_ENV`] and
-    /// [`RECON_WORKERS_ENV`] (unset/invalid = 0), auto-tuned: neither set
-    /// decodes sequentially, one set runs that stage at up to the given
-    /// count and the other stage on one worker.
-    pub fn from_env() -> Self {
-        let read = |var: &str| {
-            std::env::var(var)
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .unwrap_or(0)
-        };
-        Self::auto_tuned(read(VLD_WORKERS_ENV), read(RECON_WORKERS_ENV))
     }
 
     /// Measurements of the most recent decode.

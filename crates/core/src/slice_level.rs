@@ -53,8 +53,6 @@ struct BandRefs<'a> {
     /// The band doing the fetching (traffic node `1 + band`).
     band: usize,
     traffic: &'a TrafficMatrix,
-    /// (which band owns a luma row) — cached closure-ish helper.
-    picture_width: usize,
     remote_bytes: &'a RefCell<u64>,
 }
 
@@ -100,7 +98,6 @@ impl ReferenceFetcher for BandRefs<'_> {
         // The pixel copy itself is layout-generic (reference frames are
         // macroblock-tiled); accounting above stays per logical row.
         p.fetch_clamped(x0, y0, w, h, out);
-        let _ = self.picture_width;
     }
 }
 
@@ -249,7 +246,6 @@ pub fn run_slice_level(
                     bounds: &bounds,
                     band,
                     traffic: &traffic,
-                    picture_width: frame_w,
                     remote_bytes: &remote,
                 };
                 let mut sink = FrameSink {

@@ -206,9 +206,7 @@ impl TileDecoder {
             }
             let lx = (px - self.ext_rect.x0) as usize;
             let ly = (py - self.ext_rect.y0) as usize;
-            let ext_rect = self.ext_rect;
             let frame = self.reference_mut(kind, b.slot)?;
-            let _ = ext_rect;
             frame.y.insert(lx, ly, 16, 16, &b.y);
             frame.cb.insert(lx / 2, ly / 2, 8, 8, &b.cb);
             frame.cr.insert(lx / 2, ly / 2, 8, 8, &b.cr);
@@ -335,29 +333,9 @@ impl TileDecoder {
             PictureKind::B => {
                 let frame = self.crop_own(&current);
                 self.pool.release(current);
-                let tile = DisplayTile {
-                    display_index: self.emitted,
-                    frame,
-                };
-                self.emitted += 1;
-                Ok(Some(tile))
+                Ok(Some(self.display(frame)))
             }
-            _ => {
-                let out = self.held.take().map(|prev| {
-                    let tile = DisplayTile {
-                        display_index: self.emitted,
-                        frame: prev,
-                    };
-                    self.emitted += 1;
-                    tile
-                });
-                self.held = Some(self.crop_own(&current));
-                let retired = std::mem::replace(&mut self.fwd, self.bwd.replace(current));
-                if let Some(old) = retired {
-                    self.pool.release(old);
-                }
-                Ok(out)
-            }
+            _ => Ok(self.push_reference(current)),
         }
     }
 
@@ -375,20 +353,31 @@ impl TileDecoder {
             current.cb.blit_from(&prev.cb, 0, 0, 0, 0, w / 2, h / 2);
             current.cr.blit_from(&prev.cr, 0, 0, 0, 0, w / 2, h / 2);
         }
-        let out = self.held.take().map(|prev| {
-            let tile = DisplayTile {
-                display_index: self.emitted,
-                frame: prev,
-            };
-            self.emitted += 1;
-            tile
-        });
+        self.push_reference(current)
+    }
+
+    /// Installs `current` as the newest reference, as the sequential
+    /// decoder does: the tile held so far becomes displayable, the crop of
+    /// `current` is held in its place, and the frame that leaves the
+    /// reference window returns to the pool.
+    fn push_reference(&mut self, current: Frame) -> Option<DisplayTile> {
+        let out = self.held.take().map(|prev| self.display(prev));
         self.held = Some(self.crop_own(&current));
         let retired = std::mem::replace(&mut self.fwd, self.bwd.replace(current));
         if let Some(old) = retired {
             self.pool.release(old);
         }
         out
+    }
+
+    /// Wraps `frame` as the next tile in display order.
+    fn display(&mut self, frame: Frame) -> DisplayTile {
+        let tile = DisplayTile {
+            display_index: self.emitted,
+            frame,
+        };
+        self.emitted += 1;
+        tile
     }
 
     /// Returns a consumed frame's allocation to the decoder's pool so the
@@ -401,14 +390,7 @@ impl TileDecoder {
 
     /// Flushes the last held reference tile at end of stream.
     pub fn flush(&mut self) -> Option<DisplayTile> {
-        self.held.take().map(|frame| {
-            let t = DisplayTile {
-                display_index: self.emitted,
-                frame,
-            };
-            self.emitted += 1;
-            t
-        })
+        self.held.take().map(|frame| self.display(frame))
     }
 
     fn crop_own(&mut self, ext: &Frame) -> Frame {

@@ -32,10 +32,6 @@ use tiledec_mpeg2::Frame;
 
 use crate::recon_parallel::PipelineDecoder;
 
-/// Environment variable selecting the VLD worker count for binaries that
-/// call [`PipelineDecoder::from_env`].
-pub const VLD_WORKERS_ENV: &str = "TILEDEC_VLD_WORKERS";
-
 /// Logical CPUs on this host (1 if the count cannot be determined).
 ///
 /// Auto-tuned decoders clamp their worker count here: the bench curve
@@ -288,7 +284,7 @@ impl CostHistory {
 /// `(utilization, imbalance)` of one stage's per-worker busy times: mean
 /// busy share of `wall_ns`, and max-over-mean busy time (1.0 = perfectly
 /// balanced, higher means stragglers). Both 0 when there are no workers.
-pub fn busy_ratios(busy: &[u64], wall_ns: u64) -> (f64, f64) {
+pub(crate) fn busy_ratios(busy: &[u64], wall_ns: u64) -> (f64, f64) {
     if busy.is_empty() {
         return (0.0, 0.0);
     }

@@ -7,6 +7,9 @@
 //! macroblock coefficient blocks live on the stack, and motion
 //! compensation borrows reference regions instead of copying.
 //!
+//! The same counter audits the node-local pipeline's inter-frame windows
+//! and the sequential decoder's allocations per pass.
+//!
 //! This file deliberately holds a single test: the allocator counter is
 //! process-global, and a concurrent test would perturb the counts.
 
@@ -53,6 +56,7 @@ use tiledec_core::tile_decoder::TileDecoder;
 use tiledec_core::SystemConfig;
 use tiledec_mpeg2::encoder::{Encoder, EncoderConfig};
 use tiledec_mpeg2::frame::Frame;
+use tiledec_mpeg2::Decoder;
 
 fn clip(w: usize, h: usize, frames: usize) -> Vec<Frame> {
     (0..frames)
@@ -170,6 +174,43 @@ fn steady_state_decode_is_allocation_free() {
     }
 
     pipeline_steady_state_is_allocation_free();
+    sequential_allocations_do_not_grow_with_picture_count();
+}
+
+/// The sequential [`Decoder`] recycles its picture buffers through its
+/// own `FramePool` and builds error strings lazily, so what a whole
+/// `decode_stream` pass allocates is a handful of buffers however long the
+/// stream is. Decoding the same clip at N and 2N pictures must therefore
+/// allocate the same number of times.
+///
+/// Called from the single `#[test]` for the same reason as the pipeline
+/// audit.
+fn sequential_allocations_do_not_grow_with_picture_count() {
+    let (w, h, frames) = (128u32, 96u32, 12usize);
+    let mut ecfg = EncoderConfig::for_size(w, h);
+    ecfg.gop_size = 6;
+    ecfg.b_frames = 1;
+    ecfg.qscale = 6;
+    let pass_allocs = |frames: usize| {
+        let stream = Encoder::new(ecfg.clone())
+            .unwrap()
+            .encode(&clip(w as usize, h as usize, frames))
+            .unwrap();
+        let mut pictures = 0usize;
+        let before = ALLOCS.load(Ordering::Relaxed);
+        Decoder::new()
+            .decode_stream(&stream, |_, _| pictures += 1)
+            .expect("sequential decode");
+        let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+        assert_eq!(pictures, frames, "one callback per picture");
+        allocs
+    };
+    let (short, long) = (pass_allocs(frames), pass_allocs(2 * frames));
+    assert!(short > 0, "the counter must see the picture buffers");
+    assert_eq!(
+        long, short,
+        "sequential decode: {short} allocations for {frames} pictures, {long} for twice as many"
+    );
 }
 
 /// The pipelined (VLD ‖ band-recon) decoder's recon pools share the

@@ -4,8 +4,6 @@
 //! configuration must reproduce its output *bit exactly* (all decoders
 //! share the same integer IDCT and reconstruction path).
 
-use std::time::Instant;
-
 use tiledec_bitstream::{BitReader, StartCode, StartCodeScanner};
 
 use crate::block::MbCoeffs;
@@ -14,7 +12,6 @@ use crate::headers;
 use crate::motion::FrameRefs;
 use crate::recon::{FrameSink, Reconstructor};
 use crate::slice::{parse_slice, SliceContext};
-use crate::timing;
 use crate::types::{PictureInfo, PictureKind, SequenceInfo};
 use crate::{Error, Result};
 
@@ -71,16 +68,7 @@ impl Decoder {
         mut on_frame: impl FnMut(&Frame, &PictureInfo),
     ) -> Result<StreamSummary> {
         let mut scanner = StartCodeScanner::new(data);
-        loop {
-            let code = {
-                let _scan = timing::StageSpan::begin(timing::Stage::Scan);
-                scanner.next_code()
-            };
-            let Some(code) = code else { break };
-            // Everything a handler does that is not macroblock pixel work
-            // (charged inside `Reconstructor`) is header parsing + VLC: time
-            // the handler and charge the non-pixel remainder to vld.
-            let vld_start = timing::enabled().then(|| (Instant::now(), timing::pixel_ns_so_far()));
+        while let Some(code) = scanner.next_code() {
             let mut r = BitReader::at(data, (code.offset + 4) * 8);
             match code.code {
                 StartCode::SEQUENCE_HEADER => {
@@ -137,11 +125,6 @@ impl Decoder {
                 other => {
                     return Err(Error::Syntax(format!("unexpected start code {other:#04x}")));
                 }
-            }
-            if let Some((start, pixel_before)) = vld_start {
-                let elapsed = start.elapsed().as_nanos() as u64;
-                let pixel_delta = timing::pixel_ns_so_far() - pixel_before;
-                timing::add(timing::Stage::Vld, elapsed.saturating_sub(pixel_delta));
             }
         }
         self.finish_picture(&mut on_frame)?;

@@ -10,7 +10,7 @@
 //! fetch is a single contiguous 256-byte read and an arbitrary fetch
 //! touches at most four contiguous tiles. See DESIGN.md §"Reference-frame
 //! memory architecture" for the addressing math and the measured effect
-//! (`mc_locality` in `BENCH_decode.json`).
+//! (`mpeg2.frame.block_io_*` and `mpeg2.motion.predict_*` in `benchmark/`).
 //!
 //! The layout is an address transform, not a format: all logical-pixel
 //! APIs (`get`/`set`/`blit_from`/`extract_into`/`insert`) work on either

@@ -16,6 +16,24 @@ pub const EXT_ID_SEQUENCE: u32 = 0b0001;
 /// Extension start-code identifier for the picture coding extension.
 pub const EXT_ID_PICTURE_CODING: u32 = 0b1000;
 
+/// Widest picture any decode path accepts: what the 12-bit
+/// `horizontal_size_value` carries without a size extension.
+pub const MAX_WIDTH: u32 = 4095;
+/// Tallest picture any decode path accepts: 175 macroblock rows, the last
+/// a slice start code can address without the unsupported
+/// `slice_vertical_position_extension`.
+pub const MAX_HEIGHT: u32 = 2800;
+
+/// Rejects picture sizes beyond [`MAX_WIDTH`] × [`MAX_HEIGHT`]. Both
+/// sequence-header parsers call this, so a header can never make a
+/// decoder, planner or splitter size a frame it could not fill.
+fn check_dimensions(width: u32, height: u32) -> Result<()> {
+    if width > MAX_WIDTH || height > MAX_HEIGHT {
+        return Err(Error::Unsupported("pictures larger than 4095x2800"));
+    }
+    Ok(())
+}
+
 /// Group-of-pictures header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GopHeader {
@@ -61,6 +79,7 @@ pub fn parse_sequence_header(r: &mut BitReader<'_>) -> Result<SequenceInfo> {
     if width == 0 || height == 0 {
         return Err(Error::Syntax("zero picture dimensions".into()));
     }
+    check_dimensions(width, height)?;
     Ok(SequenceInfo {
         width,
         height,
@@ -132,6 +151,7 @@ pub fn parse_sequence_extension(r: &mut BitReader<'_>, si: &mut SequenceInfo) ->
     let v_ext = r.read_bits(2)?;
     si.width |= h_ext << 12;
     si.height |= v_ext << 12;
+    check_dimensions(si.width, si.height)?;
     let _bit_rate_ext = r.read_bits(12)?;
     r.marker_bit()?;
     let _vbv_ext = r.read_bits(8)?;
@@ -328,6 +348,43 @@ mod tests {
     fn sequence_header_round_trip_defaults() {
         let si = demo_sequence();
         assert_eq!(parse_seq_round_trip(&si), si);
+    }
+
+    #[test]
+    fn oversize_pictures_are_unsupported() {
+        let at_limit = SequenceInfo {
+            width: MAX_WIDTH,
+            height: MAX_HEIGHT,
+            ..demo_sequence()
+        };
+        assert_eq!(parse_seq_round_trip(&at_limit), at_limit);
+
+        let header_bytes = |si: &SequenceInfo| {
+            let mut w = BitWriter::new();
+            write_sequence_header(&mut w, si);
+            w.into_bytes()
+        };
+        let too_tall = header_bytes(&SequenceInfo {
+            height: MAX_HEIGHT + 1,
+            ..demo_sequence()
+        });
+        assert!(matches!(
+            parse_sequence_header(&mut BitReader::at(&too_tall, 32)),
+            Err(Error::Unsupported(_))
+        ));
+
+        // The sequence extension is the last 10 bytes (start code + 48
+        // bits); the high bit of horizontal_size_extension is bit 15 of
+        // its payload, which makes the width 8192 + 1280.
+        let mut bytes = header_bytes(&demo_sequence());
+        let payload = bytes.len() - 6;
+        bytes[payload + 1] |= 1;
+        let mut si = parse_sequence_header(&mut BitReader::at(&bytes, 32)).unwrap();
+        let mut r = BitReader::at(&bytes, payload * 8 + 4);
+        assert!(matches!(
+            parse_sequence_extension(&mut r, &mut si),
+            Err(Error::Unsupported(_))
+        ));
     }
 
     #[test]

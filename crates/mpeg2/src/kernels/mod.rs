@@ -8,9 +8,8 @@
 //! kernels can never change decoder output — tile-parallel decode stays
 //! bit-identical to the sequential decoder no matter which set is active.
 //!
-//! Selection happens once, lazily, from `is_x86_feature_detected!`; the
-//! `TILEDEC_KERNELS` environment variable (`scalar`, `sse2`, `avx2`)
-//! overrides detection for benchmarking and debugging. Non-x86 targets
+//! Selection happens once, lazily, from `is_x86_feature_detected!`;
+//! [`set_active`] overrides it for tests and benchmarks. Non-x86 targets
 //! always get the scalar set.
 
 pub mod scalar;
@@ -91,8 +90,8 @@ static ACTIVE: AtomicPtr<KernelSet> = AtomicPtr::new(std::ptr::null_mut());
 
 /// The kernel set every decode path dispatches through.
 ///
-/// Resolved once (environment override first, then feature detection) and
-/// cached; subsequent calls are a single atomic load.
+/// Resolved once (the fastest set [`available`] detects) and cached;
+/// subsequent calls are a single atomic load.
 #[inline]
 pub fn active() -> &'static KernelSet {
     let p = ACTIVE.load(Ordering::Relaxed);
@@ -100,7 +99,14 @@ pub fn active() -> &'static KernelSet {
         // SAFETY: the pointer only ever holds `&'static KernelSet` values.
         return unsafe { &*p };
     }
-    let chosen = default_set();
+    detect()
+}
+
+/// First-call path of [`active`], kept out of line so the hot call sites
+/// inline only the atomic load.
+#[cold]
+fn detect() -> &'static KernelSet {
+    let chosen = available().last().copied().unwrap_or(&SCALAR);
     set_active(chosen);
     chosen
 }
@@ -109,15 +115,6 @@ pub fn active() -> &'static KernelSet {
 /// benchmarks to measure scalar-vs-SIMD on the same host, and by tests).
 pub fn set_active(set: &'static KernelSet) {
     ACTIVE.store(set as *const KernelSet as *mut KernelSet, Ordering::Relaxed);
-}
-
-fn default_set() -> &'static KernelSet {
-    if let Ok(name) = std::env::var("TILEDEC_KERNELS") {
-        if let Some(set) = by_name(&name) {
-            return set;
-        }
-    }
-    available().last().copied().unwrap_or(&SCALAR)
 }
 
 /// Every kernel set usable on this host, slowest first (`scalar` always,
@@ -138,12 +135,6 @@ pub fn available() -> Vec<&'static KernelSet> {
     sets
 }
 
-/// Looks up an *available* kernel set by name (case-insensitive).
-pub fn by_name(name: &str) -> Option<&'static KernelSet> {
-    let name = name.trim().to_ascii_lowercase();
-    available().into_iter().find(|s| s.name == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,9 +143,6 @@ mod tests {
     fn scalar_is_always_available() {
         let sets = available();
         assert_eq!(sets[0].name, "scalar");
-        assert!(by_name("scalar").is_some());
-        assert!(by_name(" SCALAR ").is_some());
-        assert!(by_name("mmx").is_none());
     }
 
     #[test]

@@ -52,7 +52,6 @@ pub mod recon;
 pub mod resilient;
 pub mod slice;
 pub mod tables;
-pub mod timing;
 pub mod types;
 pub mod vld;
 pub mod y4m;

@@ -123,7 +123,6 @@ impl<R: ReferenceFetcher, S: MbSink> SliceVisitor for Reconstructor<'_, R, S> {
         count: u32,
         motion: &MbMotion,
     ) -> Result<()> {
-        let _pixel = crate::timing::StageSpan::begin(crate::timing::Stage::Pixel);
         let mbw = ctx.mb_width();
         for addr in start_addr..start_addr + count {
             let (mb_x, mb_y) = (addr % mbw, addr / mbw);
@@ -142,7 +141,6 @@ impl<R: ReferenceFetcher, S: MbSink> SliceVisitor for Reconstructor<'_, R, S> {
         meta: &MbMeta,
         coeffs: &mut MbCoeffs,
     ) -> Result<()> {
-        let _pixel = crate::timing::StageSpan::begin(crate::timing::Stage::Pixel);
         let mut y = [0u8; 256];
         let mut cb = [0u8; 64];
         let mut cr = [0u8; 64];

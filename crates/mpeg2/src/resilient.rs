@@ -54,12 +54,6 @@ use crate::tables::{mb_type, mba, motion as mvtab};
 use crate::types::{MbFlags, MotionVector, PictureInfo, PictureKind, SequenceInfo};
 use crate::{Error, Result};
 
-/// Largest width the repair pass will accept from a (possibly corrupt)
-/// sequence header: the canonical re-emission carries 12 bits.
-const MAX_WIDTH: u32 = 4095;
-/// Largest height accepted: slices above row 174 would need the
-/// `slice_vertical_position` extension.
-const MAX_HEIGHT: u32 = 2800;
 /// Quantiser scale code written into synthesized concealment slices. The
 /// value is arbitrary (concealment macroblocks carry no coefficients) but
 /// must be a legal code.
@@ -324,9 +318,9 @@ fn ext_id(data: &[u8], sc: &StartCode) -> Option<u32> {
     BitReader::at(data, (sc.offset + 4) * 8).read_bits(4).ok()
 }
 
-/// Finds the first sequence header that parses and declares dimensions the
-/// repair pass can re-emit, folding in a following sequence extension's
-/// size bits when it parses too.
+/// Finds the first sequence header that parses (the header parsers bound
+/// the dimensions to what the repair pass can re-emit), folding in a
+/// following sequence extension's size bits when it parses too.
 fn lock_sequence_header(data: &[u8], index: &StartCodeIndex) -> Option<(usize, SequenceInfo)> {
     let codes = index.codes();
     for (i, sc) in codes.iter().enumerate() {
@@ -349,9 +343,7 @@ fn lock_sequence_header(data: &[u8], index: &StartCodeIndex) -> Option<(usize, S
                 }
             }
         }
-        if si.width <= MAX_WIDTH && si.height <= MAX_HEIGHT {
-            return Some((i, si));
-        }
+        return Some((i, si));
     }
     None
 }

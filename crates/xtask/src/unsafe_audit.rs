@@ -36,8 +36,6 @@ pub const UNSAFE_ALLOWED_FILES: &[&str] = &[
     // Counting `GlobalAlloc` shim proving the steady-state decode path
     // allocation-free; the trait itself is unsafe to implement.
     "crates/core/tests/alloc_steady.rs",
-    // The same counting-allocator shim in the benchmark harness.
-    "crates/bench/src/bin/decode_bench.rs",
 ];
 
 /// Whether `path` (workspace-relative) may contain `unsafe` at all.

@@ -2,15 +2,15 @@
 //! stream) to YUV4MPEG2.
 //!
 //! ```text
-//! tiledec-decode input.m2v|input.mpg output.y4m
+//! tiledec-decode input.m2v|input.mpg output.y4m [--workers V,R]
 //! ```
 //!
-//! `TILEDEC_VLD_WORKERS=N` and `TILEDEC_RECON_WORKERS=M` size the two
-//! stages of the node-local pipeline (slice-parallel entropy decode, band
-//! reconstruction): with neither set the decode is sequential, with one
-//! set that stage gets up to that many workers and the other stage one,
-//! with both set each stage gets up to its count. Output is bit-exact
-//! with the sequential path in every case.
+//! `--workers V,R` sizes the two stages of the node-local pipeline: up to
+//! `V` slice-parallel entropy-decode workers and up to `R` band
+//! reconstruction workers, auto-tuned to the stream and the host. A zero
+//! on one side runs that stage on one worker; without the flag (or with
+//! `0,0`) the decode is sequential. Output is bit-exact with the
+//! sequential path in every case.
 
 use std::fs::File;
 use std::io::BufWriter;
@@ -35,9 +35,8 @@ fn main() -> ExitCode {
 
 fn run() -> Result<String, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let [input, output] = &args[..] else {
-        return Err("usage: tiledec-decode <input.m2v|input.mpg> <output.y4m>".into());
-    };
+    let (input, output, (vld_workers, recon_workers)) = parse_args(&args)
+        .ok_or("usage: tiledec-decode <input.m2v|input.mpg> <output.y4m> [--workers V,R]")?;
     let data = std::fs::read(input).map_err(|e| format!("read {input}: {e}"))?;
     let es = if looks_like_program_stream(&data) {
         eprintln!("program stream detected; demultiplexing");
@@ -65,7 +64,7 @@ fn run() -> Result<String, String> {
     );
     let mut frames = 0usize;
     let mut write_error: Option<String> = None;
-    let mut decoder = PipelineDecoder::from_env();
+    let mut decoder = PipelineDecoder::auto_tuned(vld_workers, recon_workers);
     let summary = decoder
         .decode_stream(&es, |frame, _| {
             if write_error.is_none() {
@@ -91,6 +90,26 @@ fn run() -> Result<String, String> {
         "decoded {} pictures ({}x{} @ {:.2} fps) to {output}",
         summary.pictures, summary.seq.width, summary.seq.height, fps
     ))
+}
+
+/// Splits the command line into `(input, output, (vld, recon))` worker
+/// counts; `None` for anything the usage line does not describe.
+fn parse_args(args: &[String]) -> Option<(&str, &str, (usize, usize))> {
+    let mut positional = Vec::new();
+    let mut workers = (0, 0);
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if arg == "--workers" {
+            let (vld, recon) = it.next()?.split_once(',')?;
+            workers = (vld.parse().ok()?, recon.parse().ok()?);
+        } else {
+            positional.push(arg.as_str());
+        }
+    }
+    match positional[..] {
+        [input, output] => Some((input, output, workers)),
+        _ => None,
+    }
 }
 
 fn fps_to_ratio(fps: f64) -> (u32, u32) {

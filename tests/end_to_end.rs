@@ -209,3 +209,113 @@ fn y4m_export_round_trips_decoded_frames() {
         assert!(a == b);
     }
 }
+
+/// Runs the `tiledec-decode` binary on `stream` through scratch files
+/// named after `tag`; returns whether it exited zero, its stderr and the
+/// y4m bytes it wrote, if any.
+fn run_decode_tool(tag: &str, stream: &[u8], flags: &[&str]) -> (bool, String, Option<Vec<u8>>) {
+    let stem = format!("tiledec-e2e-{}-{tag}", std::process::id());
+    let input = std::env::temp_dir().join(format!("{stem}.m2v"));
+    let output = std::env::temp_dir().join(format!("{stem}.y4m"));
+    std::fs::write(&input, stream).unwrap();
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_tiledec-decode"))
+        .arg(&input)
+        .arg(&output)
+        .args(flags)
+        .output()
+        .unwrap();
+    let y4m = std::fs::read(&output).ok();
+    let _ = std::fs::remove_file(&input);
+    let _ = std::fs::remove_file(&output);
+    let stderr = String::from_utf8_lossy(&run.stderr).into_owned();
+    (run.status.success(), stderr, y4m)
+}
+
+#[test]
+fn decode_tool_output_is_identical_for_every_workers_flag() {
+    // 20x12 macroblocks: above the auto-tune size threshold, so the flag
+    // really routes the decode through the pipeline.
+    let video = preset(
+        320,
+        192,
+        MotionProfile::PanAndObjects { pan: 3, objects: 2 },
+    )
+    .generate_and_encode(7)
+    .unwrap();
+    let (ok, stderr, sequential) = run_decode_tool("workers", &video.bitstream, &[]);
+    assert!(ok, "{stderr}");
+    assert!(!stderr.contains("pipelined decode"), "{stderr}");
+    let sequential = sequential.expect("output written");
+    assert!(sequential.len() > 7 * 320 * 192);
+    for pair in ["0,0", "2,1", "2,2"] {
+        let (ok, stderr, y4m) = run_decode_tool("workers", &video.bitstream, &["--workers", pair]);
+        assert!(ok, "--workers {pair}: {stderr}");
+        assert_eq!(
+            stderr.contains("pipelined decode"),
+            pair != "0,0",
+            "--workers {pair}: {stderr}"
+        );
+        assert!(y4m.as_ref() == Some(&sequential), "--workers {pair}");
+    }
+}
+
+#[test]
+fn decode_tool_rejects_malformed_workers_values() {
+    let video = preset(128, 64, MotionProfile::LayeredDrift)
+        .generate_and_encode(2)
+        .unwrap();
+    let bad: [&[&str]; 9] = [
+        &["--workers"],
+        &["--workers", "2"],
+        &["--workers", "2,"],
+        &["--workers", ",1"],
+        &["--workers", "a,b"],
+        &["--workers", "2;2"],
+        &["--workers", "-1,1"],
+        &["--workers", "1,2,3"],
+        &["--threads", "2,2"],
+    ];
+    for flags in bad {
+        let (ok, stderr, y4m) = run_decode_tool("malformed", &video.bitstream, flags);
+        assert!(!ok, "{flags:?} must fail");
+        assert!(
+            stderr.contains("usage: tiledec-decode"),
+            "{flags:?}: {stderr}"
+        );
+        assert!(y4m.is_none(), "{flags:?} must not write output");
+    }
+}
+
+#[test]
+fn oversize_header_fails_with_a_typed_error_before_any_frame_is_sized() {
+    // A real stream whose sequence header + extension are patched to the
+    // largest size the syntax can carry: 14 bits each way, 16383x16383
+    // (~400 MB per frame if anything believed it).
+    let mut stream = preset(128, 64, MotionProfile::LayeredDrift)
+        .generate_and_encode(2)
+        .unwrap()
+        .bitstream;
+    assert_eq!(stream[..4], [0, 0, 1, 0xB3]);
+    stream[4..7].fill(0xFF);
+    let ext = stream
+        .windows(4)
+        .position(|w| w == [0, 0, 1, 0xB5])
+        .expect("sequence extension");
+    // Payload bits 15..=18 are the horizontal and vertical size extensions.
+    stream[ext + 5] |= 0x01;
+    stream[ext + 6] |= 0xE0;
+
+    assert!(matches!(
+        decode_all(&stream),
+        Err(tiledec::mpeg2::Error::Unsupported(_))
+    ));
+    for flags in [&[][..], &["--workers", "2,2"]] {
+        let (ok, stderr, y4m) = run_decode_tool("oversize", &stream, flags);
+        assert!(!ok, "{flags:?}");
+        assert!(
+            stderr.contains("unsupported MPEG-2 feature: pictures larger than 4095x2800"),
+            "{flags:?}: {stderr}"
+        );
+        assert!(y4m.is_none(), "{flags:?} must not write output");
+    }
+}
