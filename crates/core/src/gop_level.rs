@@ -16,9 +16,9 @@
 
 use tiledec_bitstream::{StartCode, StartCodeScanner};
 use tiledec_cluster::stats::TrafficMatrix;
-use tiledec_mpeg2::frame::Frame;
+use tiledec_mpeg2::frame::{Frame, FramePool};
 use tiledec_mpeg2::Decoder;
-use tiledec_wall::{Wall, WallGeometry};
+use tiledec_wall::{Assembler, WallGeometry};
 
 use crate::{CoreError, Result};
 
@@ -107,50 +107,20 @@ pub fn run_gop_level(stream: &[u8], geom: &WallGeometry) -> Result<GopLevelResul
     }
 
     // Display: reassemble each frame through the wall (verifying tile
-    // agreement) in stream order.
+    // agreement) in stream order, mirroring what display nodes do.
+    let wall = |e: tiledec_wall::WallError| CoreError::Protocol(e.to_string());
+    let mut tiles = FramePool::new();
     let mut frames = Vec::new();
-    for gop_frames in per_gop_frames {
-        for frame in gop_frames {
-            // Round-trip through the wall to mirror what display nodes do.
-            let mut wall = Wall::new(*geom);
-            for t in geom.iter_tiles() {
-                let r = geom.tile_mb_rect(t);
-                let mut tile = Frame::black(r.w as usize, r.h as usize);
-                tile.y.blit_from(
-                    &frame.y,
-                    r.x0 as usize,
-                    r.y0 as usize,
-                    0,
-                    0,
-                    r.w as usize,
-                    r.h as usize,
-                );
-                tile.cb.blit_from(
-                    &frame.cb,
-                    r.x0 as usize / 2,
-                    r.y0 as usize / 2,
-                    0,
-                    0,
-                    r.w as usize / 2,
-                    r.h as usize / 2,
-                );
-                tile.cr.blit_from(
-                    &frame.cr,
-                    r.x0 as usize / 2,
-                    r.y0 as usize / 2,
-                    0,
-                    0,
-                    r.w as usize / 2,
-                    r.h as usize / 2,
-                );
-                wall.set_tile(t, tile)
-                    .map_err(|e| CoreError::Protocol(e.to_string()))?;
-            }
-            frames.push(
-                wall.assemble(true)
-                    .map_err(|e| CoreError::Protocol(e.to_string()))?,
-            );
+    for frame in per_gop_frames.iter().flatten() {
+        let mut assembler = Assembler::new(*geom);
+        for t in geom.iter_tiles() {
+            let r = geom.tile_mb_rect(t);
+            let (x, y, w, h) = (r.x0 as usize, r.y0 as usize, r.w as usize, r.h as usize);
+            let tile = tiles.acquire_crop(frame, x, y, w, h);
+            assembler.place(t, &tile).map_err(wall)?;
+            tiles.release(tile);
         }
+        frames.push(assembler.finish().map_err(wall)?);
     }
     Ok(GopLevelResult {
         frames,

@@ -27,6 +27,7 @@
 #![warn(missing_docs)]
 
 pub mod config;
+mod display;
 pub mod gop_level;
 pub mod levels;
 pub mod machines;

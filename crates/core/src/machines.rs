@@ -35,8 +35,9 @@ use tiledec_wall::WallGeometry;
 use crate::config::SystemConfig;
 use crate::mei::{MeiBuffer, MeiInstruction};
 use crate::protocol::{
-    decode_ack, decode_blocks, decode_unit, encode_ack, encode_blocks, encode_unit, WorkUnit,
-    TAG_ACK_ROOT, TAG_ACK_SPLIT, TAG_BLOCKS, TAG_END, TAG_TIMEOUT, TAG_UNIT, TAG_WORK,
+    decode_ack, decode_blocks, decode_unit, encode_ack, encode_blocks, encode_unit,
+    peek_blocks_header, WorkUnit, TAG_ACK_ROOT, TAG_ACK_SPLIT, TAG_BLOCKS, TAG_END, TAG_TIMEOUT,
+    TAG_UNIT, TAG_WORK,
 };
 use crate::splitter::{split_picture_units, MacroblockSplitter};
 use crate::subpicture::SubPicture;
@@ -870,9 +871,8 @@ impl DecoderMachine {
                     let first_peer = 1 + self.k;
                     let found = self.buf.iter().position(|m| {
                         (m.tag == TAG_BLOCKS
-                            && decode_blocks(&m.payload)
-                                .map(|(pid, src, _)| pid == p && expected.contains(&src))
-                                .unwrap_or(false))
+                            && peek_blocks_header(&m.payload)
+                                .is_ok_and(|(pid, src)| pid == p && expected.contains(&src)))
                             || (resilient
                                 && m.tag == TAG_TIMEOUT
                                 && m.from >= first_peer

@@ -136,6 +136,14 @@ pub fn encode_blocks(picture_id: u32, src_tile: u16, blocks: &[BlockData]) -> Ve
     w.into_bytes()
 }
 
+/// Reads `(picture_id, src_tile)` off the front of a block batch without
+/// decoding its blocks — what a decoder needs to pick the batch it is
+/// waiting for out of its buffered messages.
+pub fn peek_blocks_header(payload: &[u8]) -> Result<(u32, u16)> {
+    let mut r = WireReader::new(payload);
+    Ok((r.u32()?, r.u16()?))
+}
+
 /// Decodes a block batch: `(picture_id, src_tile, blocks)`.
 pub fn decode_blocks(payload: &[u8]) -> Result<(u32, u16, Vec<BlockData>)> {
     let mut r = WireReader::new(payload);

@@ -13,9 +13,10 @@ use std::time::Instant;
 use tiledec_cluster::cost::CostModel;
 use tiledec_cluster::sim::{DecoderCost, PictureCost, PipelineSim, PipelineSpec, SimReport};
 use tiledec_mpeg2::frame::Frame;
-use tiledec_wall::{Wall, WallGeometry};
+use tiledec_wall::WallGeometry;
 
 use crate::config::SystemConfig;
+use crate::display::DisplayFrames;
 use crate::tile_decoder::BlockData;
 
 /// Blocks a decoder ships, grouped by destination tile.
@@ -23,7 +24,7 @@ type SendBatches = Vec<(usize, Vec<BlockData>)>;
 use crate::splitter::{split_picture_units, MacroblockSplitter};
 use crate::tile_decoder::TileDecoder;
 use crate::wire::BufferPool;
-use crate::{CoreError, Result};
+use crate::Result;
 
 /// Measured per-picture averages from the profiling pass.
 #[derive(Debug, Clone, Copy, Default)]
@@ -106,8 +107,9 @@ impl SimulatedSystem {
         let mut pictures = Vec::with_capacity(index.units.len());
         let mut measured = MeasuredCosts::default();
         let mut wire_pool = BufferPool::new();
-        let mut frames: Vec<Frame> = Vec::new();
-        let mut pending_walls: std::collections::HashMap<u32, (Wall, usize)> = Default::default();
+        let mut display = self
+            .verify
+            .then(|| DisplayFrames::new(geom, index.units.len()));
 
         for (p, &(start, end)) in index.units.iter().enumerate() {
             let unit = &stream[start..end];
@@ -174,19 +176,11 @@ impl SimulatedSystem {
                 dec.prefetch_references(kind, &out.mei[d]);
                 let displayable = dec.decode(sp)?;
                 decode_s = decode_s.min(t0.elapsed().as_secs_f64());
-                if self.verify {
-                    if let Some(dt) = displayable {
-                        let entry = pending_walls
-                            .entry(dt.display_index)
-                            .or_insert_with(|| (Wall::new(geom), 0));
-                        entry
-                            .0
-                            .set_tile(geom.tile_at(d), dt.frame)
-                            .map_err(|e| CoreError::Protocol(e.to_string()))?;
-                        entry.1 += 1;
+                if let Some(dt) = displayable {
+                    if let Some(display) = display.as_mut() {
+                        display.place(d, &dt)?;
                     }
-                } else if let Some(dt) = displayable {
-                    // Not assembling output: hand the tile's allocation
+                    // Placed or not wanted: the tile's allocation goes
                     // straight back to the decoder's frame pool.
                     dec.recycle(dt.frame);
                 }
@@ -209,34 +203,17 @@ impl SimulatedSystem {
                 decoders: per_decoder,
             });
         }
-        if self.verify {
-            for (d, dec) in decoders.iter_mut().enumerate() {
-                if let Some(dt) = dec.flush() {
-                    let entry = pending_walls
-                        .entry(dt.display_index)
-                        .or_insert_with(|| (Wall::new(geom), 0));
-                    entry
-                        .0
-                        .set_tile(geom.tile_at(d), dt.frame)
-                        .map_err(|e| CoreError::Protocol(e.to_string()))?;
-                    entry.1 += 1;
+        let frames = match display {
+            Some(mut display) => {
+                for (d, dec) in decoders.iter_mut().enumerate() {
+                    if let Some(dt) = dec.flush() {
+                        display.place(d, &dt)?;
+                    }
                 }
+                display.finish()?
             }
-            for display in 0..index.units.len() as u32 {
-                let (wall, count) = pending_walls
-                    .remove(&display)
-                    .ok_or_else(|| CoreError::Protocol(format!("no tiles for frame {display}")))?;
-                if count != tiles {
-                    return Err(CoreError::Protocol(format!(
-                        "frame {display} has {count}/{tiles} tiles"
-                    )));
-                }
-                frames.push(
-                    wall.assemble(true)
-                        .map_err(|e| CoreError::Protocol(e.to_string()))?,
-                );
-            }
-        }
+            None => Vec::new(),
+        };
 
         let n = index.units.len().max(1) as f64;
         measured.copy_s /= n;

@@ -95,8 +95,6 @@ impl ReferenceFetcher for BandRefs<'_> {
                 *self.remote_bytes.borrow_mut() += w as u64;
             }
         }
-        // The pixel copy itself is layout-generic (reference frames are
-        // macroblock-tiled); accounting above stays per logical row.
         p.fetch_clamped(x0, y0, w, h, out);
     }
 }
@@ -209,10 +207,7 @@ pub fn run_slice_level(
 
         // Decode bands (in-process; each band's slices through a
         // fetch-accounting reconstructor writing one shared frame).
-        // Macroblock-tiled like every decode-path current frame, so the
-        // accounting baseline measures the same memory layout the real
-        // decoders use.
-        let mut current = Frame::zeroed_tiled(frame_w, frame_h);
+        let mut current = Frame::zeroed(frame_w, frame_h);
         {
             let placeholder = Frame::placeholder();
             let (fwd, bwd): (&Frame, &Frame) = match info.kind {

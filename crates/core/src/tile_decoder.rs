@@ -69,8 +69,9 @@ pub struct TileDecoder {
     ext_rect: PixelRect,
     fwd: Option<Frame>,
     bwd: Option<Frame>,
-    /// Held reference tile awaiting display-order release.
-    held: Option<Frame>,
+    /// `bwd` awaits its display-order release. Until then its own
+    /// rectangle is what the tile will show: peers only write the halo.
+    bwd_pending: bool,
     emitted: u32,
     /// Recycled frame allocations (identity-transparent cache: hashes to
     /// nothing, clones empty).
@@ -101,7 +102,7 @@ impl TileDecoder {
             ext_rect,
             fwd: None,
             bwd: None,
-            held: None,
+            bwd_pending: false,
             emitted: 0,
             pool: FramePool::new(),
         }
@@ -204,6 +205,14 @@ impl TileDecoder {
                     b.mb_x, b.mb_y, self.tile
                 )));
             }
+            // A peer must never overwrite pixels this tile decoded and
+            // will display (they are cropped out of the reference later).
+            if self.own_rect.contains(px, py) {
+                return Err(CoreError::Protocol(format!(
+                    "block ({},{}) from {from_tile} lies inside tile {:?}'s own rectangle",
+                    b.mb_x, b.mb_y, self.tile
+                )));
+            }
             let lx = (px - self.ext_rect.x0) as usize;
             let ly = (py - self.ext_rect.y0) as usize;
             let frame = self.reference_mut(kind, b.slot)?;
@@ -240,7 +249,7 @@ impl TileDecoder {
     }
 
     /// Issues software prefetches for every reference macroblock named in
-    /// the picture's MEI RECV list, warming the halo tiles the upcoming
+    /// the picture's MEI RECV list, warming the halo blocks the upcoming
     /// pixel pass will read. The MEI buffer enumerates *exactly* the
     /// remote reference blocks this tile's motion compensation needs
     /// (that is what the exchange protocol ships), so it doubles as a
@@ -280,12 +289,9 @@ impl TileDecoder {
     /// [`DisplayTile`] has been consumed.
     pub fn decode(&mut self, sp: &SubPicture) -> Result<Option<DisplayTile>> {
         let kind = sp.info.kind;
-        // Working frames are macroblock-tiled: reconstructed macroblocks
-        // land as whole contiguous tiles, and once this frame becomes a
-        // reference, motion compensation reads it tile-locally.
         let mut current = self
             .pool
-            .acquire_zeroed_tiled(self.ext_rect.w as usize, self.ext_rect.h as usize);
+            .acquire_zeroed(self.ext_rect.w as usize, self.ext_rect.h as usize);
         {
             let placeholder = Frame::placeholder();
             let (fwd, bwd): (&Frame, &Frame) = match kind {
@@ -331,7 +337,7 @@ impl TileDecoder {
         // Display-order emission, mirroring the sequential decoder.
         match kind {
             PictureKind::B => {
-                let frame = self.crop_own(&current);
+                let frame = crop(&mut self.pool, self.own_rect, self.ext_rect, &current);
                 self.pool.release(current);
                 Ok(Some(self.display(frame)))
             }
@@ -347,7 +353,7 @@ impl TileDecoder {
     /// bookkeeping advance exactly as for a decoded reference picture.
     pub fn conceal_picture(&mut self) -> Option<DisplayTile> {
         let (w, h) = (self.ext_rect.w as usize, self.ext_rect.h as usize);
-        let mut current = self.pool.acquire_zeroed_tiled(w, h);
+        let mut current = self.pool.acquire_zeroed(w, h);
         if let Some(prev) = self.bwd.as_ref() {
             current.y.blit_from(&prev.y, 0, 0, 0, 0, w, h);
             current.cb.blit_from(&prev.cb, 0, 0, 0, 0, w / 2, h / 2);
@@ -357,12 +363,12 @@ impl TileDecoder {
     }
 
     /// Installs `current` as the newest reference, as the sequential
-    /// decoder does: the tile held so far becomes displayable, the crop of
+    /// decoder does: the reference held so far becomes displayable,
     /// `current` is held in its place, and the frame that leaves the
     /// reference window returns to the pool.
     fn push_reference(&mut self, current: Frame) -> Option<DisplayTile> {
-        let out = self.held.take().map(|prev| self.display(prev));
-        self.held = Some(self.crop_own(&current));
+        let out = self.flush();
+        self.bwd_pending = true;
         let retired = std::mem::replace(&mut self.fwd, self.bwd.replace(current));
         if let Some(old) = retired {
             self.pool.release(old);
@@ -388,26 +394,30 @@ impl TileDecoder {
         self.pool.release(frame);
     }
 
-    /// Flushes the last held reference tile at end of stream.
+    /// Releases the held reference tile for display, cropping it out of
+    /// the newest reference only now: at end of stream, and whenever a
+    /// newer reference takes its place.
     pub fn flush(&mut self) -> Option<DisplayTile> {
-        self.held.take().map(|frame| self.display(frame))
-    }
-
-    fn crop_own(&mut self, ext: &Frame) -> Frame {
-        let dx = (self.own_rect.x0 - self.ext_rect.x0) as usize;
-        let dy = (self.own_rect.y0 - self.ext_rect.y0) as usize;
-        let (w, h) = (self.own_rect.w as usize, self.own_rect.h as usize);
-        let mut f = self.pool.acquire_zeroed(w, h);
-        f.y.blit_from(&ext.y, dx, dy, 0, 0, w, h);
-        f.cb.blit_from(&ext.cb, dx / 2, dy / 2, 0, 0, w / 2, h / 2);
-        f.cr.blit_from(&ext.cr, dx / 2, dy / 2, 0, 0, w / 2, h / 2);
-        f
+        if !std::mem::take(&mut self.bwd_pending) {
+            return None;
+        }
+        let newest = self.bwd.as_ref()?;
+        let frame = crop(&mut self.pool, self.own_rect, self.ext_rect, newest);
+        Some(self.display(frame))
     }
 
     /// The wall geometry (for callers wiring decoders together).
     pub fn geometry(&self) -> &WallGeometry {
         &self.geom
     }
+}
+
+/// Copies the `own` rectangle out of a frame covering `ext` into a frame
+/// from `pool`.
+fn crop(pool: &mut FramePool, own: PixelRect, ext: PixelRect, frame: &Frame) -> Frame {
+    let dx = (own.x0 - ext.x0) as usize;
+    let dy = (own.y0 - ext.y0) as usize;
+    pool.acquire_crop(frame, dx, dy, own.w as usize, own.h as usize)
 }
 
 /// Decodes one partial-slice run through a visitor.
@@ -520,8 +530,6 @@ impl ReferenceFetcher for TileRefs<'_> {
         };
         // MEI pre-calculation guarantees coverage for conforming streams;
         // clamp (deterministically) rather than panic on corrupt input.
-        // The gather crosses storage-tile boundaries when the reference
-        // frame is macroblock-tiled.
         p.fetch_clamped(lx, ly, w, h, out);
     }
 
@@ -552,9 +560,6 @@ impl ReferenceFetcher for TileRefs<'_> {
             PlanePick::Cb => &frame.cb,
             PlanePick::Cr => &frame.cr,
         };
-        // On tiled reference storage the borrow additionally requires the
-        // footprint to sit inside one storage tile; everything else takes
-        // the `fetch` gather above.
         p.region_at(lx, ly, w, h)
     }
 }
@@ -650,6 +655,41 @@ mod tests {
         assert!(d
             .apply_recv_blocks(PictureKind::P, &empty, 1, &[block])
             .is_err());
+    }
+
+    #[test]
+    fn blocks_inside_the_own_rectangle_are_rejected() {
+        // Tile 0 owns columns 0..4 and keeps column 4 as halo. A peer may
+        // fill the halo, never the pixels this tile decoded and will
+        // crop for display — announced or not.
+        let geom = WallGeometry::for_video(128, 64, 2, 1, 0).unwrap();
+        let mut d = TileDecoder::new(geom, TileId { col: 0, row: 0 }, seq(128, 64), 16);
+        d.bwd = Some(Frame::zeroed(d.ext_rect.w as usize, d.ext_rect.h as usize));
+        let block = |mb_x| BlockData {
+            mb_x,
+            mb_y: 0,
+            slot: RefSlot::Forward,
+            y: [9; 256],
+            cb: [9; 64],
+            cr: [9; 64],
+        };
+        let recv = |mb_x| MeiInstruction::Recv {
+            mb_x,
+            mb_y: 0,
+            slot: RefSlot::Forward,
+            peer: 1,
+        };
+        let mei = MeiBuffer {
+            instructions: vec![recv(3), recv(4)],
+        };
+        d.apply_recv_blocks(PictureKind::P, &mei, 1, &[block(4)])
+            .expect("halo block");
+        let err = d
+            .apply_recv_blocks(PictureKind::P, &mei, 1, &[block(3)])
+            .unwrap_err();
+        assert!(err.to_string().contains("own rectangle"), "{err}");
+        let bwd = d.bwd.as_ref().unwrap();
+        assert_eq!((bwd.y.get(64, 0), bwd.y.get(63, 0)), (9, 0));
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! `TileDecoder::decode` call must perform **zero** heap allocations —
 //! the per-picture working frames all come from recycled pool frames,
 //! macroblock coefficient blocks live on the stack, and motion
-//! compensation borrows reference regions instead of copying.
+//! compensation borrows reference regions instead of copying. Display
+//! tiles are cropped into recycled frames that are *not* zeroed first, so
+//! the audit hands every frame back full of garbage and checks the pixels
+//! of each later tile against the sequential decoder.
 //!
 //! The same counter audits the node-local pipeline's inter-frame windows
 //! and the sequential decoder's allocations per pass.
@@ -55,7 +58,7 @@ use tiledec_core::splitter::{split_picture_units, MacroblockSplitter};
 use tiledec_core::tile_decoder::TileDecoder;
 use tiledec_core::SystemConfig;
 use tiledec_mpeg2::encoder::{Encoder, EncoderConfig};
-use tiledec_mpeg2::frame::Frame;
+use tiledec_mpeg2::frame::{Frame, FramePool};
 use tiledec_mpeg2::Decoder;
 
 fn clip(w: usize, h: usize, frames: usize) -> Vec<Frame> {
@@ -99,6 +102,7 @@ fn steady_state_decode_is_allocation_free() {
         .encode(&clip(w as usize, h as usize, frames))
         .unwrap();
 
+    let reference = tiledec_mpeg2::decode_all(&stream).unwrap();
     let index = split_picture_units(&stream).unwrap();
     let seq = index.seq.clone();
     let cfg = SystemConfig::new(0, (2, 1));
@@ -137,8 +141,20 @@ fn steady_state_decode_is_allocation_free() {
             let displayed = dec.decode(&out.subpictures[d]).unwrap();
             let after = ALLOCS.load(Ordering::Relaxed);
             // Consumers return display frames to the pool (outside the
-            // measured window, as a real display loop would after blit).
-            if let Some(dt) = displayed {
+            // measured window, as a real display loop would after blit) —
+            // here scribbled over, because the crop that reuses them must
+            // not depend on what they hold.
+            if let Some(mut dt) = displayed {
+                let r = geom.tile_mb_rect(geom.tile_at(d));
+                let (x, y, w, h) = (r.x0 as usize, r.y0 as usize, r.w as usize, r.h as usize);
+                let shown = &reference[dt.display_index as usize];
+                assert!(
+                    dt.frame == FramePool::new().acquire_crop(shown, x, y, w, h),
+                    "picture {p} decoder {d}: tile differs from the sequential crop"
+                );
+                for plane in [&mut dt.frame.y, &mut dt.frame.cb, &mut dt.frame.cr] {
+                    plane.fill(0xA5);
+                }
                 dec.recycle(dt.frame);
             }
             audited.push((p, d, after - before));
@@ -171,6 +187,16 @@ fn steady_state_decode_is_allocation_free() {
             0,
             "decoder {d}: concealment allocated in steady state"
         );
+    }
+
+    // So does the end-of-stream flush, which crops the newest reference
+    // into a recycled frame only now.
+    for (d, dec) in decoders.iter_mut().enumerate() {
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let last = dec.flush();
+        let after = ALLOCS.load(Ordering::Relaxed);
+        assert!(last.is_some(), "decoder {d}: the newest reference is held");
+        assert_eq!(after - before, 0, "decoder {d}: flush allocated");
     }
 
     pipeline_steady_state_is_allocation_free();

@@ -330,6 +330,93 @@ fn bit_realigned_subpictures_decode_identically() {
 }
 
 #[test]
+fn display_tiles_are_the_sequential_crops_through_a_concealed_picture() {
+    // A tile is cropped out of its reference frame only when it becomes
+    // displayable — after peers have written that frame's halo for later
+    // pictures — so every `DisplayTile`, the concealed one and the final
+    // flush included, must still equal the sequential decoder's crop.
+    use tiledec_core::splitter::MacroblockSplitter;
+    use tiledec_core::tile_decoder::DisplayTile;
+    use tiledec_core::TileDecoder;
+    use tiledec_mpeg2::frame::FramePool;
+    use tiledec_mpeg2::types::PictureKind::{B, I, P};
+
+    // Two closed GOPs, coded I0 P2 B1 P3 | I4 P6 B5 P7. Losing P3 — the
+    // last reference of its GOP, which nothing later predicts from — makes
+    // every tile show P2 a second time in its place and leaves the rest of
+    // the display untouched.
+    const LOST: usize = 3;
+    let stream = encode_clip(160, 96, 8, 4, 1, 6);
+    let mut expected = decode_all(&stream).unwrap();
+    expected[3] = expected[2].clone();
+
+    let index = tiledec_core::split_picture_units(&stream).unwrap();
+    let cfg = SystemConfig::new(1, (2, 2)).with_overlap(16);
+    let geom = cfg.geometry(160, 96).unwrap();
+    let splitter = MacroblockSplitter::new(geom, index.seq.clone());
+    let mut decoders: Vec<TileDecoder> = geom
+        .iter_tiles()
+        .map(|t| TileDecoder::new(geom, t, index.seq.clone(), cfg.halo_margin))
+        .collect();
+
+    let mut shown = vec![0usize; decoders.len()];
+    let mut check = |d: usize, dt: DisplayTile| {
+        assert_eq!(dt.display_index as usize, shown[d], "tile {d}: order");
+        let r = geom.tile_mb_rect(geom.tile_at(d));
+        let (x, y, w, h) = (r.x0 as usize, r.y0 as usize, r.w as usize, r.h as usize);
+        let want = FramePool::new().acquire_crop(&expected[shown[d]], x, y, w, h);
+        assert!(
+            dt.frame == want,
+            "tile {d}: display {} is not the sequential crop",
+            shown[d]
+        );
+        shown[d] += 1;
+    };
+    let mut kinds = Vec::new();
+    for (p, &(s, e)) in index.units.iter().enumerate() {
+        let out = splitter.split(p as u32, &stream[s..e]).unwrap();
+        let kind = out.info.kind;
+        kinds.push(kind);
+        if p == LOST {
+            for (d, dec) in decoders.iter_mut().enumerate() {
+                if let Some(dt) = dec.conceal_picture() {
+                    check(d, dt);
+                }
+            }
+            continue;
+        }
+        let mut deliveries = Vec::new();
+        for (d, dec) in decoders.iter().enumerate() {
+            for (peer, blocks) in dec.extract_send_blocks(kind, &out.mei[d]).unwrap() {
+                deliveries.push((d, peer, blocks));
+            }
+        }
+        assert_eq!(
+            deliveries.is_empty(),
+            kind == I,
+            "picture {p}: halo traffic"
+        );
+        for (src, peer, blocks) in deliveries {
+            decoders[peer]
+                .apply_recv_blocks(kind, &out.mei[peer], src, &blocks)
+                .unwrap();
+        }
+        for (d, dec) in decoders.iter_mut().enumerate() {
+            if let Some(dt) = dec.decode(&out.subpictures[d]).unwrap() {
+                check(d, dt);
+            }
+        }
+    }
+    assert_eq!(kinds, [I, P, B, P, I, P, B, P]);
+    for (d, dec) in decoders.iter_mut().enumerate() {
+        let last = dec.flush().expect("the newest reference is still held");
+        check(d, last);
+        assert!(dec.flush().is_none(), "tile {d}: nothing left to flush");
+    }
+    assert_eq!(shown, vec![expected.len(); 4]);
+}
+
+#[test]
 fn gop_level_baseline_is_correct_but_redistributes_heavily() {
     use tiledec_core::gop_level::run_gop_level;
     // Three GOPs of four pictures each. The frame must be large enough

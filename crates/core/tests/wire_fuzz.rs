@@ -3,7 +3,9 @@
 //! Inputs come from a seeded xorshift generator so every case is
 //! deterministic and reproducible.
 
-use tiledec_core::protocol::{decode_ack, decode_blocks, decode_unit, WorkUnit};
+use tiledec_core::protocol::{
+    decode_ack, decode_blocks, decode_unit, peek_blocks_header, WorkUnit,
+};
 use tiledec_core::subpicture::SubPicture;
 use tiledec_core::wire::WireReader;
 
@@ -33,6 +35,17 @@ impl Rng {
 
 const CASES: u64 = 256;
 
+/// The header peek a decoder selects buffered block batches by must agree
+/// with the full decode: the same `(picture_id, src_tile)` whenever the
+/// batch decodes, and no header out of bytes too short to hold one.
+fn assert_peek_agrees_with_decode(payload: &[u8], ctx: &str) {
+    let peeked = peek_blocks_header(payload);
+    assert_eq!(peeked.is_ok(), payload.len() >= 6, "{ctx}: peek");
+    if let Ok((id, src, _)) = decode_blocks(payload) {
+        assert_eq!(peeked.ok(), Some((id, src)), "{ctx}: peek vs decode");
+    }
+}
+
 #[test]
 fn work_unit_decode_never_panics() {
     for case in 0..CASES {
@@ -59,7 +72,7 @@ fn blocks_decode_never_panics() {
         let mut rng = Rng::new(case ^ 0xb10c);
         let len = rng.below(512) as usize;
         let data = rng.bytes(len);
-        let _ = decode_blocks(&data);
+        assert_peek_agrees_with_decode(&data, &format!("case {case}"));
     }
 }
 
@@ -132,6 +145,7 @@ fn blocks_round_trip_for_any_block_set() {
         assert_eq!(got_id, id, "case {case}");
         assert_eq!(got_src, src_tile, "case {case}");
         assert_eq!(got_blocks, blocks, "case {case}");
+        assert_peek_agrees_with_decode(&payload, &format!("case {case}"));
     }
 }
 
@@ -153,12 +167,19 @@ fn truncated_block_batches_fail_closed() {
             })
             .collect();
         let payload = encode_blocks(7, 0, &blocks);
-        // Any strict prefix must be rejected, never panic or mis-decode.
-        let cut = rng.below(4096) as usize % payload.len();
-        assert!(
-            decode_blocks(&payload[..cut]).is_err(),
-            "case {case}: cut={cut}"
-        );
+        // Any strict prefix must be rejected, never panic or mis-decode;
+        // the header survives any cut behind it, and only those. The
+        // second cut walks through the header itself.
+        for cut in [rng.below(4096) as usize % payload.len(), case as usize % 8] {
+            let prefix = &payload[..cut];
+            assert!(decode_blocks(prefix).is_err(), "case {case}: cut={cut}");
+            assert_peek_agrees_with_decode(prefix, &format!("case {case}: cut={cut}"));
+            assert_eq!(
+                peek_blocks_header(prefix).ok(),
+                (cut >= 6).then_some((7, 0)),
+                "case {case}: cut={cut}"
+            );
+        }
     }
 }
 

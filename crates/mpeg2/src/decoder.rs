@@ -102,13 +102,6 @@ impl Decoder {
                         .as_ref()
                         .ok_or_else(|| Error::Syntax("picture before sequence header".into()))?;
                     let info = headers::parse_picture_header(&mut r)?;
-                    // Row-major, deliberately: the sequential decoder's hot
-                    // loop is interpolated prediction, whose 17x17 half-pel
-                    // footprint never fits a 16x16 tile, so tiled frames
-                    // would gather on every fetch while row-major serves a
-                    // zero-copy interior borrow. Tiled frames pay off in the
-                    // cluster paths (tile_decoder/slice_level) where halo
-                    // exchange and recon stores move whole aligned blocks.
                     let frame = self.pool.acquire_zeroed(
                         seq.mb_width() as usize * 16,
                         seq.mb_height() as usize * 16,

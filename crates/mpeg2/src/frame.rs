@@ -1,24 +1,22 @@
-//! Planar image buffers (4:2:0) with selectable storage layout.
+//! Planar image buffers (4:2:0).
 //!
-//! Reference frames are read by motion compensation in 2D blocks (16×16
-//! luma, 8×8 chroma, +1 row/column at half-pel phases). With classic
-//! row-major storage every such fetch touches one cache line per row —
-//! 16–17 scattered lines, most of which the fetch uses only partially.
-//! [`Layout::Tiled`] stores the plane as macroblock-sized tiles (16×16
-//! luma, 8×8 chroma), each tile contiguous (row-major within the tile,
-//! tiles in raster order, edge tiles zero-padded), so an aligned block
-//! fetch is a single contiguous 256-byte read and an arbitrary fetch
-//! touches at most four contiguous tiles. See DESIGN.md §"Reference-frame
-//! memory architecture" for the addressing math and the measured effect
-//! (`mpeg2.frame.block_io_*` and `mpeg2.motion.predict_*` in `benchmark/`).
+//! Every decoder stores its frames row-major. [`Layout::Tiled`] — the
+//! plane as macroblock-sized tiles (16×16 luma, 8×8 chroma), each tile
+//! contiguous, tiles in raster order, edge tiles zero-padded — lost the
+//! end-to-end measurement (DESIGN.md §"Reference-frame memory
+//! architecture": 5× on aligned block I/O, 0.27× on half-pel prediction,
+//! row-major +17 % on the HD wall) and no decoder constructs it any more.
 //!
-//! The layout is an address transform, not a format: all logical-pixel
-//! APIs (`get`/`set`/`blit_from`/`extract_into`/`insert`) work on either
-//! layout, planes of different layouts compare and hash by logical pixels
-//! (padding excluded), and the decoders stay bit-exact — enforced by
-//! differential tests against the independent [`RowMajorPlane`] oracle.
+//! The layout is an address transform, not a format: the logical-pixel
+//! APIs (`get`/`set`/`blit_from`/`extract_into`/`insert`/`fetch_clamped`)
+//! work on either layout and planes of different layouts compare and hash
+//! by logical pixels (padding excluded) — proven against a naive oracle in
+//! `tests/kernel_exactness.rs`.
 
 /// Storage layout of a [`Plane`].
+// `Tiled`, `Plane::new_tiled`, `Frame::zeroed_tiled` and the tiled arms below
+// stay only because the frozen `benchmark/src/layers.rs` still measures
+// `predict_tiled`/`block_io_tiled`; they go with the next `benchmark/` PR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Layout {
     /// `height` rows of `width` contiguous bytes (classic raster order).
@@ -183,8 +181,7 @@ impl Plane {
 
     /// The contiguous storage segments that make up pixel row `y`, left to
     /// right. A row-major plane yields one `width`-byte slice; a tiled
-    /// plane yields one slice per crossed tile (all `tile_dim` long except
-    /// possibly the first and last).
+    /// plane yields one slice per crossed tile.
     pub fn row_segments(&self, y: usize) -> RowSegments<'_> {
         assert!(y < self.height, "row out of bounds");
         RowSegments {
@@ -355,105 +352,60 @@ impl Plane {
         }
     }
 
-    /// Tile side length in pixels. Panics on a row-major plane.
-    pub fn tile_dim(&self) -> usize {
-        match self.layout {
-            Layout::Tiled { shift } => 1 << shift,
-            Layout::RowMajor => panic!("tile_dim on a row-major plane"),
-        }
-    }
-
-    /// Tiles per tile-row (tiled planes only).
-    pub fn tiles_x(&self) -> usize {
-        self.tiles_x
-    }
-
-    /// One whole storage tile as a contiguous `tile_dim²` slice.
-    pub fn tile(&self, tx: usize, ty: usize) -> &[u8] {
-        let t = self.tile_dim();
-        let base = (ty * self.tiles_x + tx) * t * t;
-        &self.data[base..base + t * t]
-    }
-
-    /// One whole storage tile, mutable.
-    pub fn tile_mut(&mut self, tx: usize, ty: usize) -> &mut [u8] {
-        let t = self.tile_dim();
-        let base = (ty * self.tiles_x + tx) * t * t;
-        &mut self.data[base..base + t * t]
-    }
-
-    /// Issues software prefetches for the storage backing a `w × h` region
-    /// at (`x0`, `y0`), clamped into the plane the same way
+    /// Issues software prefetches for the rows backing a `w × h` region at
+    /// (`x0`, `y0`), clamped into the plane the same way
     /// [`fetch_clamped`](Plane::fetch_clamped) clamps. Dispatches through
     /// the active kernel set (`_mm_prefetch` on x86, no-op on scalar), so
-    /// it never faults and costs nothing where unsupported.
+    /// it never faults and costs nothing where unsupported. Advisory, and
+    /// a no-op on a tiled plane.
     pub fn prefetch_rect(&self, x0: i32, y0: i32, w: usize, h: usize) {
-        if w == 0 || h == 0 || w > self.width || h > self.height {
+        if w == 0 || h == 0 || w > self.width || h > self.height || self.is_tiled() {
             return;
         }
         let x = x0.clamp(0, (self.width - w) as i32) as usize;
         let y = y0.clamp(0, (self.height - h) as i32) as usize;
         let k = crate::kernels::active();
-        match self.layout {
-            Layout::Tiled { shift } => {
-                let s = shift as usize;
-                let t = 1usize << s;
-                for ty in (y >> s)..=((y + h - 1) >> s) {
-                    for tx in (x >> s)..=((x + w - 1) >> s) {
-                        let base = (ty * self.tiles_x + tx) * t * t;
-                        (k.prefetch)(&self.data[base..base + t * t]);
-                    }
-                }
-            }
-            Layout::RowMajor => {
-                for row in y..y + h {
-                    let i = row * self.stride + x;
-                    (k.prefetch)(&self.data[i..i + w]);
-                }
-            }
+        for row in y..y + h {
+            let i = row * self.stride + x;
+            (k.prefetch)(&self.data[i..i + w]);
         }
     }
 }
 
-/// A mutable borrow of a horizontal band of a [`Plane`]: the pixel rows
-/// `[y0, y1)`, backed by exactly that band's storage bytes.
+/// A mutable borrow of a horizontal band of a row-major [`Plane`]: the
+/// pixel rows `[y0, y1)`, backed by exactly that band's storage bytes.
 ///
 /// This is the safety primitive under slice-parallel pixel
-/// reconstruction: bands cut at macroblock-row boundaries are contiguous
-/// storage segments in **both** layouts (row-major trivially; tiled
-/// because a band of whole tile-rows is a run of whole tiles in raster
-/// order), so a plane splits into disjoint `&mut` bands with
-/// `split_at_mut` — no `unsafe`, no locks, and the borrow checker proves
-/// writers can never alias. See DESIGN.md §12.
+/// reconstruction: a band of rows is one contiguous storage segment, so a
+/// plane splits into disjoint `&mut` bands with `split_at_mut` — no
+/// `unsafe`, no locks, and the borrow checker proves writers can never
+/// alias. See DESIGN.md §12.
 pub struct PlaneBandMut<'a> {
     y0: usize,
     y1: usize,
     width: usize,
     stride: usize,
-    tiles_x: usize,
-    layout: Layout,
     data: &'a mut [u8],
 }
 
 impl Plane {
     /// Borrows the whole plane as one mutable row band (`[0, height)`),
-    /// the starting point for [`PlaneBandMut::split_at_row`].
+    /// the starting point for [`PlaneBandMut::split_at_row`]. Panics on a
+    /// tiled plane.
     pub fn as_band_mut(&mut self) -> PlaneBandMut<'_> {
+        assert!(!self.is_tiled(), "row bands need a row-major plane");
         PlaneBandMut {
             y0: 0,
             y1: self.height,
             width: self.width,
             stride: self.stride,
-            tiles_x: self.tiles_x,
-            layout: self.layout,
             data: &mut self.data,
         }
     }
 
     /// Splits the plane into `cuts.len() + 1` disjoint mutable row bands:
     /// `[0, cuts[0])`, `[cuts[0], cuts[1])`, …, `[last, height)`. Cuts
-    /// must be strictly increasing, inside `(0, height)`, and — on tiled
-    /// planes — tile-row aligned (macroblock-row cuts always are).
+    /// must be strictly increasing and inside `(0, height)`.
     ///
     /// Convenience wrapper over [`PlaneBandMut::split_at_row`]; hot paths
     /// that must not allocate split band-by-band instead.
@@ -488,32 +440,16 @@ impl<'a> PlaneBandMut<'a> {
 
     /// Splits the band into `[y0, y)` and `[y, y1)` — two disjoint `&mut`
     /// borrows of the underlying storage. `y` must lie strictly inside
-    /// the band and, for tiled planes, on a tile-row boundary (both hold
-    /// for macroblock-row cuts on decoder planes).
+    /// the band.
     pub fn split_at_row(self, y: usize) -> (PlaneBandMut<'a>, PlaneBandMut<'a>) {
         assert!(self.y0 < y && y < self.y1, "split row outside band");
-        let split_byte = match self.layout {
-            Layout::RowMajor => (y - self.y0) * self.stride,
-            Layout::Tiled { shift } => {
-                let t = 1usize << shift;
-                assert!(
-                    y.is_multiple_of(t),
-                    "tiled band split must be tile-row aligned"
-                );
-                // `y0` is tile-aligned by construction (0, or an earlier
-                // aligned split), so the head is whole tile-rows.
-                ((y - self.y0) >> shift) * self.tiles_x * t * t
-            }
-        };
-        let (head, tail) = self.data.split_at_mut(split_byte);
+        let (head, tail) = self.data.split_at_mut((y - self.y0) * self.stride);
         (
             PlaneBandMut {
                 y0: self.y0,
                 y1: y,
                 width: self.width,
                 stride: self.stride,
-                tiles_x: self.tiles_x,
-                layout: self.layout,
                 data: head,
             },
             PlaneBandMut {
@@ -521,8 +457,6 @@ impl<'a> PlaneBandMut<'a> {
                 y1: self.y1,
                 width: self.width,
                 stride: self.stride,
-                tiles_x: self.tiles_x,
-                layout: self.layout,
                 data: tail,
             },
         )
@@ -532,30 +466,7 @@ impl<'a> PlaneBandMut<'a> {
     /// `y` is in plane coordinates and must be inside `[y0, y1)`.
     #[inline(always)]
     fn index_of(&self, x: usize, y: usize) -> usize {
-        match self.layout {
-            Layout::RowMajor => (y - self.y0) * self.stride + x,
-            Layout::Tiled { shift } => {
-                let s = shift as usize;
-                let m = (1usize << s) - 1;
-                // `(y - y0) & m == y & m`: y0 is tile-aligned.
-                ((((y - self.y0) >> s) * self.tiles_x + (x >> s)) << (2 * s))
-                    | ((y & m) << s)
-                    | (x & m)
-            }
-        }
-    }
-
-    /// Bytes stored contiguously to the right of logical `x` within one
-    /// row (same contract as `Plane::storage_run`).
-    #[inline(always)]
-    fn storage_run(&self, x: usize) -> usize {
-        match self.layout {
-            Layout::RowMajor => self.width - x,
-            Layout::Tiled { shift } => {
-                let t = 1usize << shift;
-                t - (x & (t - 1))
-            }
-        }
+        (y - self.y0) * self.stride + x
     }
 
     /// Pixel accessor in plane coordinates (test/debug convenience).
@@ -568,57 +479,27 @@ impl<'a> PlaneBandMut<'a> {
     }
 
     /// Writes a tightly packed `w × h` buffer at plane coordinates
-    /// (`x`, `y`); the rectangle must fall inside the band. Same layout
-    /// handling as [`Plane::insert`], including the whole-aligned-tile
-    /// `memcpy` fast path.
+    /// (`x`, `y`); the rectangle must fall inside the band.
     pub fn insert(&mut self, x: usize, y: usize, w: usize, h: usize, pixels: &[u8]) {
         assert!(
             x + w <= self.width && y >= self.y0 && y + h <= self.y1,
             "rect outside band"
         );
         assert_eq!(pixels.len(), w * h);
-        if let Layout::Tiled { shift } = self.layout {
-            let t = 1usize << shift;
-            if w == t && h == t && x & (t - 1) == 0 && y & (t - 1) == 0 {
-                let base = self.index_of(x, y);
-                self.data[base..base + t * t].copy_from_slice(pixels);
-                return;
-            }
-        }
         for row in 0..h {
-            let mut done = 0;
-            while done < w {
-                let n = (w - done).min(self.storage_run(x + done));
-                let d0 = self.index_of(x + done, y + row);
-                self.data[d0..d0 + n].copy_from_slice(&pixels[row * w + done..row * w + done + n]);
-                done += n;
-            }
+            let d0 = self.index_of(x, y + row);
+            self.data[d0..d0 + w].copy_from_slice(&pixels[row * w..][..w]);
         }
     }
 
     /// Overwrites the whole band from a tightly packed `width × (y1 - y0)`
-    /// pixel buffer. On a row-major plane the band is one contiguous
-    /// segment, so this is a single `memcpy` (dispatched through the
-    /// active kernel set's `copy_band` entry); tiled bands re-tile via the
-    /// segment walk. This is the band-assembly path of the parallel
-    /// pixel stage.
+    /// pixel buffer. The band is one contiguous segment (planes are built
+    /// with `stride == width`), so this is a single `memcpy`, dispatched
+    /// through the active kernel set's `copy_band` entry. This is the
+    /// band-assembly path of the parallel pixel stage.
     pub fn copy_from_packed(&mut self, pixels: &[u8]) {
-        let rows = self.y1 - self.y0;
-        assert_eq!(pixels.len(), self.width * rows);
-        if self.layout == Layout::RowMajor && self.stride == self.width {
-            (crate::kernels::active().copy_band)(self.data, pixels);
-            return;
-        }
-        let (y0, w) = (self.y0, self.width);
-        for row in 0..rows {
-            let mut done = 0;
-            while done < w {
-                let n = (w - done).min(self.storage_run(done));
-                let d0 = self.index_of(done, y0 + row);
-                self.data[d0..d0 + n].copy_from_slice(&pixels[row * w + done..row * w + done + n]);
-                done += n;
-            }
-        }
+        assert_eq!(pixels.len(), self.width * (self.y1 - self.y0));
+        (crate::kernels::active().copy_band)(self.data, pixels);
     }
 }
 
@@ -731,79 +612,6 @@ impl std::fmt::Debug for Plane {
     }
 }
 
-/// Independent row-major reference implementation, kept deliberately naive
-/// (no shared code with [`Plane`]) as the ground-truth oracle for the
-/// tiled-layout differential property tests in
-/// `crates/mpeg2/tests/kernel_exactness.rs`.
-#[derive(Clone)]
-pub struct RowMajorPlane {
-    width: usize,
-    height: usize,
-    data: Vec<u8>,
-}
-
-impl RowMajorPlane {
-    /// Creates a zero-filled `width × height` oracle plane.
-    pub fn new(width: usize, height: usize) -> Self {
-        RowMajorPlane {
-            width,
-            height,
-            data: vec![0; width * height],
-        }
-    }
-
-    /// Plane width in pixels.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Plane height in pixels.
-    pub fn height(&self) -> usize {
-        self.height
-    }
-
-    /// Pixel accessor.
-    pub fn get(&self, x: usize, y: usize) -> u8 {
-        assert!(x < self.width && y < self.height);
-        self.data[y * self.width + x]
-    }
-
-    /// Pixel setter.
-    pub fn set(&mut self, x: usize, y: usize, v: u8) {
-        assert!(x < self.width && y < self.height);
-        self.data[y * self.width + x] = v;
-    }
-
-    /// Writes a packed `w × h` buffer at (`x`, `y`).
-    pub fn insert(&mut self, x: usize, y: usize, w: usize, h: usize, pixels: &[u8]) {
-        assert!(x + w <= self.width && y + h <= self.height);
-        assert_eq!(pixels.len(), w * h);
-        for row in 0..h {
-            for col in 0..w {
-                self.data[(y + row) * self.width + x + col] = pixels[row * w + col];
-            }
-        }
-    }
-
-    /// Clamped gather, pixel by pixel — the semantics
-    /// [`Plane::fetch_clamped`] must reproduce.
-    pub fn fetch_clamped(&self, x0: i32, y0: i32, w: usize, h: usize, out: &mut [u8]) {
-        let cx = x0.clamp(0, (self.width - w) as i32) as usize;
-        let cy = y0.clamp(0, (self.height - h) as i32) as usize;
-        for row in 0..h {
-            for col in 0..w {
-                out[row * w + col] = self.data[(cy + row) * self.width + cx + col];
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for RowMajorPlane {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "RowMajorPlane({}x{})", self.width, self.height)
-    }
-}
-
 /// A planar 4:2:0 YCbCr frame. Luma dimensions must be even.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Frame {
@@ -845,9 +653,7 @@ impl Frame {
     }
 
     /// Creates an all-zero macroblock-tiled frame: 16×16 luma tiles, 8×8
-    /// chroma tiles. This is the layout decoders use for current and
-    /// reference frames, so motion compensation reads whole tiles instead
-    /// of striding rows.
+    /// chroma tiles. No decoder uses it; see [`Layout`].
     pub fn zeroed_tiled(width: usize, height: usize) -> Self {
         assert!(
             width.is_multiple_of(2) && height.is_multiple_of(2),
@@ -1045,35 +851,38 @@ impl FramePool {
     }
 
     /// Returns an all-zero row-major `width × height` frame, reusing a
-    /// pooled allocation of matching dimensions *and layout* when one is
-    /// available.
+    /// pooled allocation of matching dimensions when one is available.
     pub fn acquire_zeroed(&mut self, width: usize, height: usize) -> Frame {
-        self.acquire(width, height, false)
+        match self.acquire(width, height) {
+            Some(mut f) => {
+                f.y.fill(0);
+                f.cb.fill(0);
+                f.cr.fill(0);
+                f
+            }
+            None => Frame::zeroed(width, height),
+        }
     }
 
-    /// Returns an all-zero macroblock-tiled `width × height` frame
-    /// (see [`Frame::zeroed_tiled`]), reusing a matching pooled
-    /// allocation when one is available.
-    pub fn acquire_zeroed_tiled(&mut self, width: usize, height: usize) -> Frame {
-        self.acquire(width, height, true)
+    /// Returns a copy of the `w × h` luma rectangle of `src` at (`x`, `y`)
+    /// (all even) and of the chroma under it, in a pooled frame when one
+    /// matches. The copy overwrites every byte of its target, so the
+    /// recycled frame is not zeroed first.
+    pub fn acquire_crop(&mut self, src: &Frame, x: usize, y: usize, w: usize, h: usize) -> Frame {
+        let mut f = self.acquire(w, h).unwrap_or_else(|| Frame::zeroed(w, h));
+        f.y.blit_from(&src.y, x, y, 0, 0, w, h);
+        f.cb.blit_from(&src.cb, x / 2, y / 2, 0, 0, w / 2, h / 2);
+        f.cr.blit_from(&src.cr, x / 2, y / 2, 0, 0, w / 2, h / 2);
+        f
     }
 
-    fn acquire(&mut self, width: usize, height: usize, tiled: bool) -> Frame {
-        if let Some(pos) = self
+    /// Takes a pooled row-major frame of these dimensions, contents stale.
+    fn acquire(&mut self, width: usize, height: usize) -> Option<Frame> {
+        let pos = self
             .free
             .iter()
-            .position(|f| f.width() == width && f.height() == height && f.is_tiled() == tiled)
-        {
-            let mut f = self.free.swap_remove(pos);
-            f.y.fill(0);
-            f.cb.fill(0);
-            f.cr.fill(0);
-            f
-        } else if tiled {
-            Frame::zeroed_tiled(width, height)
-        } else {
-            Frame::zeroed(width, height)
-        }
+            .position(|f| f.width() == width && f.height() == height && !f.is_tiled())?;
+        Some(self.free.swap_remove(pos))
     }
 
     /// Returns a frame to the pool for reuse. Frames beyond the retention
@@ -1137,43 +946,6 @@ mod tests {
         assert_eq!(back, patch);
         assert_eq!(p.get(8, 4), 0);
         assert_eq!(p.get(15, 11), 63);
-    }
-
-    /// Every logical-pixel op must behave identically on tiled storage —
-    /// checked against the independent RowMajorPlane oracle, on dimensions
-    /// that are not tile multiples (40×24 ⇒ padded edge tiles).
-    #[test]
-    fn tiled_plane_matches_oracle() {
-        let (w, h) = (40, 24);
-        let mut tiled = Plane::new_tiled(w, h, LUMA_TILE_SHIFT);
-        let mut oracle = RowMajorPlane::new(w, h);
-        for y in 0..h {
-            for x in 0..w {
-                let v = ((x * 7 + y * 13) % 251) as u8;
-                tiled.set(x, y, v);
-                oracle.set(x, y, v);
-            }
-        }
-        for y in 0..h {
-            for x in 0..w {
-                assert_eq!(tiled.get(x, y), oracle.get(x, y), "({x},{y})");
-            }
-        }
-        // Packed rect round trip across tile boundaries.
-        let patch: Vec<u8> = (0..15 * 9).map(|i| (i % 250) as u8).collect();
-        tiled.insert(9, 7, 15, 9, &patch);
-        oracle.insert(9, 7, 15, 9, &patch);
-        let mut got = vec![0u8; 15 * 9];
-        tiled.extract_into(9, 7, 15, 9, &mut got);
-        assert_eq!(got, patch);
-        // Clamped gather, interior and hanging off every edge.
-        for &(x0, y0) in &[(-5i32, -3i32), (3, 2), (30, 10), (90, 90), (16, 16)] {
-            let mut a = vec![0u8; 17 * 17];
-            let mut b = vec![0u8; 17 * 17];
-            tiled.fetch_clamped(x0, y0, 17, 17, &mut a);
-            oracle.fetch_clamped(x0, y0, 17, 17, &mut b);
-            assert_eq!(a, b, "fetch at ({x0},{y0})");
-        }
     }
 
     #[test]
@@ -1309,41 +1081,18 @@ mod tests {
     }
 
     #[test]
-    fn tile_accessors_expose_contiguous_storage() {
-        let mut p = Plane::new_tiled(40, 24, LUMA_TILE_SHIFT);
-        for y in 0..24 {
-            for x in 0..40 {
-                p.set(x, y, ((x ^ y) % 256) as u8);
-            }
-        }
-        let mut expect = vec![0u8; 256];
-        p.extract_into(16, 0, 16, 16, &mut expect);
-        assert_eq!(p.tile(1, 0), &expect[..]);
-        // Edge tile (x ≥ 32): logical 8 columns, padded to 16.
-        let t = p.tile(2, 0);
-        assert_eq!(t.len(), 256);
-        assert_eq!(t[0], p.get(32, 0));
-        assert_eq!(t[16], p.get(32, 1));
-        assert_eq!(&t[8..16], &[0u8; 8], "padding columns stay zero");
-        // tile_mut round-trips.
-        p.tile_mut(1, 0)[0] = 99;
-        assert_eq!(p.get(16, 0), 99);
-    }
-
-    #[test]
-    fn prefetch_rect_is_safe_on_both_layouts() {
+    fn prefetch_rect_stays_in_bounds() {
         // Behavior is a no-op (scalar) or a cache hint (x86); the test is
         // that clamping keeps every touched slice in bounds.
-        let p = Plane::new_tiled(40, 24, LUMA_TILE_SHIFT);
-        p.prefetch_rect(-5, -5, 17, 17);
-        p.prefetch_rect(35, 20, 17, 17);
-        p.prefetch_rect(8, 8, 16, 16);
         let rm = Plane::new(40, 24);
         rm.prefetch_rect(-5, -5, 17, 17);
+        rm.prefetch_rect(35, 20, 17, 17);
         rm.prefetch_rect(100, 100, 17, 17);
         // Degenerate sizes bail out instead of clamping nonsense.
-        p.prefetch_rect(0, 0, 0, 16);
-        p.prefetch_rect(0, 0, 64, 64);
+        rm.prefetch_rect(0, 0, 0, 16);
+        rm.prefetch_rect(0, 0, 64, 64);
+        // Tiled rows are not contiguous: nothing is touched.
+        Plane::new_tiled(40, 24, LUMA_TILE_SHIFT).prefetch_rect(8, 8, 16, 16);
     }
 
     #[test]
@@ -1416,10 +1165,30 @@ mod tests {
         let f = pool.acquire_zeroed(32, 16);
         assert!(!f.is_tiled());
         assert_eq!(pool.len(), 1);
-        // Tiled request recycles it.
-        let t = pool.acquire_zeroed_tiled(32, 16);
-        assert!(t.is_tiled());
-        assert!(pool.is_empty());
+    }
+
+    #[test]
+    fn acquire_crop_overwrites_a_stale_pooled_frame() {
+        let mut src = Frame::zeroed(32, 32);
+        for y in 0..32 {
+            for x in 0..32 {
+                src.y.set(x, y, (x + y * 32) as u8);
+            }
+        }
+        src.cb.set(4, 4, 9);
+        let mut stale = Frame::zeroed(16, 16);
+        stale.y.fill(0xAA);
+        stale.cb.fill(0xAA);
+        stale.cr.fill(0xAA);
+        let mut pool = FramePool::new();
+        pool.release(stale);
+        let recycled = pool.acquire_crop(&src, 8, 8, 16, 16);
+        assert!(pool.is_empty(), "the pooled frame was reused");
+        let fresh = FramePool::new().acquire_crop(&src, 8, 8, 16, 16);
+        assert_eq!(recycled, fresh);
+        assert_eq!(fresh.y.get(0, 0), src.y.get(8, 8));
+        assert_eq!(fresh.cb.get(0, 0), 9);
+        assert_eq!(fresh.cr.get(7, 7), 0);
     }
 
     #[test]
@@ -1440,68 +1209,45 @@ mod tests {
     }
 
     /// Band writes must land on exactly the same bytes as whole-plane
-    /// writes, on both layouts, including the packed-band assembly path.
+    /// writes, including the packed-band assembly path.
     #[test]
     fn row_bands_match_whole_plane_writes() {
-        for tiled in [false, true] {
-            let (w, h) = (48usize, 64usize);
-            let mk = || {
-                if tiled {
-                    Plane::new_tiled(w, h, LUMA_TILE_SHIFT)
-                } else {
-                    Plane::new(w, h)
-                }
-            };
-            let mut whole = mk();
-            let mut banded = mk();
-            let patch: Vec<u8> = (0..256).map(|i| (i % 251) as u8).collect();
-            {
-                let mut bands = banded.disjoint_row_bands(&[16, 48]);
-                assert_eq!(bands.len(), 3);
-                assert_eq!(
-                    bands.iter().map(|b| (b.y0(), b.y1())).collect::<Vec<_>>(),
-                    vec![(0, 16), (16, 48), (48, 64)]
-                );
-                // One 16x16 insert per band, at varying alignment.
-                bands[0].insert(0, 0, 16, 16, &patch);
-                bands[1].insert(16, 32, 16, 16, &patch);
-                bands[2].insert(7, 48, 16, 16, &patch);
-                for (i, (x, y)) in [(0, 0), (16, 32), (7, 48)].into_iter().enumerate() {
-                    assert_eq!(bands[i].get(x, y), patch[0]);
-                }
+        let (w, h) = (48usize, 64usize);
+        let mut whole = Plane::new(w, h);
+        let mut banded = Plane::new(w, h);
+        let patch: Vec<u8> = (0..256).map(|i| (i % 251) as u8).collect();
+        {
+            let mut bands = banded.disjoint_row_bands(&[16, 48]);
+            assert_eq!(bands.len(), 3);
+            assert_eq!(
+                bands.iter().map(|b| (b.y0(), b.y1())).collect::<Vec<_>>(),
+                vec![(0, 16), (16, 48), (48, 64)]
+            );
+            // One 16x16 insert per band, at varying alignment.
+            bands[0].insert(0, 0, 16, 16, &patch);
+            bands[1].insert(16, 32, 16, 16, &patch);
+            bands[2].insert(7, 48, 16, 16, &patch);
+            for (i, (x, y)) in [(0, 0), (16, 32), (7, 48)].into_iter().enumerate() {
+                assert_eq!(bands[i].get(x, y), patch[0]);
             }
-            whole.insert(0, 0, 16, 16, &patch);
-            whole.insert(16, 32, 16, 16, &patch);
-            whole.insert(7, 48, 16, 16, &patch);
-            assert_eq!(whole, banded, "tiled={tiled}");
         }
+        whole.insert(0, 0, 16, 16, &patch);
+        whole.insert(16, 32, 16, 16, &patch);
+        whole.insert(7, 48, 16, 16, &patch);
+        assert_eq!(whole, banded);
     }
 
     #[test]
     fn copy_from_packed_assembles_bands() {
-        for tiled in [false, true] {
-            let (w, h) = (40usize, 48usize);
-            let mut plane = if tiled {
-                Plane::new_tiled(w, h, LUMA_TILE_SHIFT)
-            } else {
-                Plane::new(w, h)
-            };
-            let packed: Vec<u8> = (0..w * h).map(|i| (i % 253) as u8).collect();
-            {
-                let (mut head, mut tail) = plane.as_band_mut().split_at_row(16);
-                head.copy_from_packed(&packed[..w * 16]);
-                tail.copy_from_packed(&packed[w * 16..]);
-            }
-            for y in 0..h {
-                for x in 0..w {
-                    assert_eq!(
-                        plane.get(x, y),
-                        packed[y * w + x],
-                        "({x},{y}) tiled={tiled}"
-                    );
-                }
-            }
+        let (w, h) = (40usize, 48usize);
+        let mut plane = Plane::new(w, h);
+        let packed: Vec<u8> = (0..w * h).map(|i| (i % 253) as u8).collect();
+        {
+            let (mut head, mut tail) = plane.as_band_mut().split_at_row(16);
+            head.copy_from_packed(&packed[..w * 16]);
+            tail.copy_from_packed(&packed[w * 16..]);
         }
+        assert_eq!(plane.data(), &packed[..]);
     }
 
     #[test]
@@ -1513,10 +1259,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "tile-row aligned")]
-    fn tiled_band_split_requires_alignment() {
+    #[should_panic(expected = "row-major plane")]
+    fn tiled_planes_do_not_band() {
         let mut p = Plane::new_tiled(32, 32, LUMA_TILE_SHIFT);
-        let _ = p.as_band_mut().split_at_row(8);
+        let _ = p.as_band_mut();
     }
 
     #[test]
@@ -1569,9 +1315,8 @@ mod tests {
     fn zeroed_tiled_geometry() {
         let f = Frame::zeroed_tiled(48, 32);
         assert!(f.is_tiled());
-        assert_eq!(f.y.tile_dim(), 16);
-        assert_eq!(f.cb.tile_dim(), 8);
-        assert_eq!(f.y.tiles_x(), 3);
+        assert_eq!(f.y.stride(), 16);
+        assert_eq!(f.cb.stride(), 8);
         assert_eq!(f.cb.width(), 24);
         // 3×2 luma tiles of 256 bytes.
         assert_eq!(f.y.data().len(), 3 * 2 * 256);

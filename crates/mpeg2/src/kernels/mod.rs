@@ -58,8 +58,7 @@ pub struct KernelSet {
     pub set_block: fn(dst: &mut [u8], stride: usize, samples: &[i32; 64]),
     /// Bulk byte copy between equal-length slices. Used by the band
     /// assembly path in `recon_parallel` to splice a worker's packed
-    /// row-band into the target frame: for row-major planes (and any
-    /// tile-row-aligned band of a tiled plane) a band is one contiguous
+    /// row-band into the target frame: a band of rows is one contiguous
     /// storage run, so assembly is a single call per plane band.
     pub copy_band: fn(dst: &mut [u8], src: &[u8]),
     /// Software-prefetch hint covering `bytes` (one request per cache

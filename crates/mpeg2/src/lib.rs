@@ -59,7 +59,7 @@ pub mod y4m;
 pub use decoder::{decode_all, flush_picture_info, Decoder};
 pub use encoder::{Encoder, EncoderConfig};
 pub use error::{Error, Result};
-pub use frame::{Frame, FrameBandMut, FramePool, Layout, Plane, PlaneBandMut, RowMajorPlane};
+pub use frame::{Frame, FrameBandMut, FramePool, Layout, Plane, PlaneBandMut};
 pub use resilient::{
     apply_display_patches, decode_all_resilient, repair_stream, DamageReport, DisplayPatch,
     ErrorPolicy, PatchRow, RepairedStream, StreamDamage,

@@ -172,9 +172,8 @@ impl<W: Write> Y4mWriter<W> {
         writeln!(self.inner, "FRAME").map_err(io)?;
         for plane in [&frame.y, &frame.cb, &frame.cr] {
             for y in 0..plane.height() {
-                // Segment-wise so tiled decoder output streams without a
-                // row gather (one segment per crossed storage tile; a
-                // row-major plane yields the whole row at once).
+                // One segment per row on the row-major frames decoders
+                // emit; a tiled plane streams tile by tile.
                 for seg in plane.row_segments(y) {
                     self.inner.write_all(seg).map_err(io)?;
                 }

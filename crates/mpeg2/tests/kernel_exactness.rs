@@ -8,7 +8,7 @@
 //! edge-clamped fetches, and saturating reconstruction extremes.
 
 use tiledec_mpeg2::dct::{idct_masked, idct_scalar};
-use tiledec_mpeg2::frame::{Frame, Plane, RowMajorPlane, CHROMA_TILE_SHIFT, LUMA_TILE_SHIFT};
+use tiledec_mpeg2::frame::{Frame, Plane, CHROMA_TILE_SHIFT, LUMA_TILE_SHIFT};
 use tiledec_mpeg2::kernels::{self, scalar, KernelSet};
 use tiledec_mpeg2::motion::{predict, FrameRefs, PlanePick, RefPick, ReferenceFetcher};
 use tiledec_mpeg2::types::MotionVector;
@@ -550,6 +550,58 @@ fn predict_is_bit_exact_across_sets_and_paths() {
 const TILED_CASES: u64 = 8;
 #[cfg(not(miri))]
 const TILED_CASES: u64 = CASES;
+
+/// Independent row-major reference implementation, kept deliberately naive
+/// (no shared code with [`Plane`]) as the ground-truth oracle for the
+/// tiled-layout differential properties below.
+struct RowMajorPlane {
+    width: usize,
+    height: usize,
+    data: Vec<u8>,
+}
+
+impl RowMajorPlane {
+    fn new(width: usize, height: usize) -> Self {
+        RowMajorPlane {
+            width,
+            height,
+            data: vec![0; width * height],
+        }
+    }
+
+    fn get(&self, x: usize, y: usize) -> u8 {
+        assert!(x < self.width && y < self.height);
+        self.data[y * self.width + x]
+    }
+
+    fn set(&mut self, x: usize, y: usize, v: u8) {
+        assert!(x < self.width && y < self.height);
+        self.data[y * self.width + x] = v;
+    }
+
+    /// Writes a packed `w × h` buffer at (`x`, `y`).
+    fn insert(&mut self, x: usize, y: usize, w: usize, h: usize, pixels: &[u8]) {
+        assert!(x + w <= self.width && y + h <= self.height);
+        assert_eq!(pixels.len(), w * h);
+        for row in 0..h {
+            for col in 0..w {
+                self.data[(y + row) * self.width + x + col] = pixels[row * w + col];
+            }
+        }
+    }
+
+    /// Clamped gather, pixel by pixel — the semantics
+    /// [`Plane::fetch_clamped`] must reproduce.
+    fn fetch_clamped(&self, x0: i32, y0: i32, w: usize, h: usize, out: &mut [u8]) {
+        let cx = x0.clamp(0, (self.width - w) as i32) as usize;
+        let cy = y0.clamp(0, (self.height - h) as i32) as usize;
+        for row in 0..h {
+            for col in 0..w {
+                out[row * w + col] = self.data[(cy + row) * self.width + cx + col];
+            }
+        }
+    }
+}
 
 /// Builds a tiled plane and the row-major oracle with identical noise.
 fn paired_planes(seed: u64, w: usize, h: usize, shift: u8) -> (Plane, RowMajorPlane) {

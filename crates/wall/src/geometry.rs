@@ -38,6 +38,20 @@ impl PixelRect {
         self.x0 < other.x1() && other.x0 < self.x1() && self.y0 < other.y1() && other.y0 < self.y1()
     }
 
+    /// The pixels both rectangles contain, if any.
+    pub fn intersection(&self, other: &PixelRect) -> Option<PixelRect> {
+        let x0 = self.x0.max(other.x0);
+        let y0 = self.y0.max(other.y0);
+        let x1 = self.x1().min(other.x1());
+        let y1 = self.y1().min(other.y1());
+        (x0 < x1 && y0 < y1).then(|| PixelRect {
+            x0,
+            y0,
+            w: x1 - x0,
+            h: y1 - y0,
+        })
+    }
+
     /// True when (`x`, `y`) lies inside.
     pub fn contains(&self, x: u32, y: u32) -> bool {
         x >= self.x0 && x < self.x1() && y >= self.y0 && y < self.y1()

@@ -11,10 +11,10 @@
 //!   cuts run through the middle of each overlap region), which is the
 //!   tile that serves the block to peers during MEI exchange.
 //!
-//! [`Wall`] holds per-tile framebuffers and can reassemble the full frame
+//! [`Assembler`] places tiles into the full frame as they arrive
 //! (verifying that overlap regions agree between tiles), which is how the
 //! test suite proves parallel output is bit-exact with sequential
-//! decoding.
+//! decoding; [`Wall`] is the hold-then-assemble API over it.
 
 #![warn(missing_docs)]
 
@@ -22,4 +22,4 @@ mod geometry;
 mod wall;
 
 pub use geometry::{PixelRect, TileId, WallGeometry};
-pub use wall::{Wall, WallError};
+pub use wall::{Assembler, Wall, WallError};
