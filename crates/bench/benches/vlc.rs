@@ -1,156 +1,205 @@
-//! Microbenchmark: VLC coefficient-block decode — the dominant cost of the
-//! splitter's parse-only pass (`t_s` is mostly this).
+//! Microbenchmark: entropy decode a block and a macroblock at a time — the
+//! whole of the splitter's `t_s` and the share of `t_d` it is paid again.
 //!
-//! The density benches exercise realistic mixed streams; the short/long
-//! variants isolate the two levels of the dct_coeff LUT: small levels stay
-//! entirely in the 8-bit root table while large levels force the
-//! second-level subtable (or the 24-bit escape form). Each runs against
-//! both coefficient sinks: `discard` is the splitter's parse-only cost,
-//! `dequant` adds inverse quantisation into the sparse workspace (and its
-//! re-zeroing) — the difference is what reconstruction pays inside the
-//! VLD. The dc_differential and mv_component benches cover the other
-//! fused single-peek decoders.
+//! The inputs are real: a few pictures of the `spr` (720×480, 1.2 bpp) and
+//! `nbc` (1920×1088, quantiser 24) presets. Every coded block of their
+//! slices is recorded as raw levels and written back out, block after
+//! block, so `parse_block` can be timed alone on the streams' own
+//! coefficient statistics — into [`Discard`] (the parse-only cost) and
+//! into [`MbCoeffs`] (plus dequantisation and the workspace's re-zeroing).
+//! `parse_one_macroblock` is timed in place, over the slices as coded:
+//! address increment, type, quantiser, motion vectors, pattern, blocks.
 
 use std::hint::black_box;
 use tiledec_bench::microbench::Criterion;
 use tiledec_bench::{bench_group, bench_main};
 use tiledec_bitstream::{BitReader, BitWriter};
-use tiledec_mpeg2::block::{parse_block, write_block, Discard, MbCoeffs};
+use tiledec_core::vld_parallel::Plan;
+use tiledec_mpeg2::block::{parse_block, write_block, CoeffSink, Discard, MbCoeffs};
 use tiledec_mpeg2::quant::Dequant;
-use tiledec_mpeg2::slice::SliceContext;
-use tiledec_mpeg2::tables::dc_size::{decode_dc_differential, encode_dc_differential};
-use tiledec_mpeg2::tables::motion::{decode_mv_component, encode_mv_component};
+use tiledec_mpeg2::slice::{
+    parse_one_macroblock, parse_slice, slice_done, AddrMode, MbMeta, MbMotion, SliceContext,
+    SliceVisitor, WalkState,
+};
+use tiledec_mpeg2::{Encoder, Result};
+use tiledec_workload::StreamPreset;
 
-/// Encodes `count` non-intra blocks whose levels are drawn by `pick` from a
-/// xorshift stream at the given per-coefficient density (percent).
-fn encoded_blocks(count: usize, density: u64, pick: impl Fn(u64) -> i32) -> (Vec<u8>, usize) {
-    let mut w = BitWriter::new();
-    let mut s = 0x9E3779B9u64;
-    for _ in 0..count {
-        let mut levels = [0i32; 64];
-        for v in levels.iter_mut() {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            if s % 100 < density {
-                *v = pick(s >> 9);
-            }
-        }
-        if levels.iter().all(|&v| v == 0) {
-            levels[0] = 1;
-        }
-        let mut dc = 0;
-        write_block(&mut w, false, true, false, &mut dc, &levels);
-    }
-    (w.into_bytes(), count)
+/// Raw quantised levels of the macroblock being parsed, per block.
+struct Levels {
+    blocks: [[i32; 64]; 6],
+    cur: usize,
 }
 
-fn bench_parse(g: &mut tiledec_bench::microbench::Group, name: &str, bytes: &[u8], count: usize) {
-    let enc = tiledec_mpeg2::Encoder::new(tiledec_mpeg2::EncoderConfig::for_size(16, 16)).unwrap();
-    let seq = enc.sequence_info();
-    let pic = tiledec_mpeg2::types::PictureInfo::new(
-        tiledec_mpeg2::PictureKind::P,
-        0,
-        [[1, 1], [15, 15]],
-    );
-    let ctx = SliceContext { seq, pic: &pic };
-    let q = Dequant::new(&ctx, false, 8);
-    g.bench_function(format!("{name}_discard"), |b| {
-        b.iter(|| {
-            let mut r = BitReader::new(bytes);
-            for _ in 0..count {
-                parse_block(black_box(&mut r), &q, 0, false, &mut 0, &mut Discard).unwrap();
+impl CoeffSink for Levels {
+    fn begin_block(&mut self, i: usize) {
+        self.blocks[i] = [0; 64];
+        self.cur = i;
+    }
+    fn coeff(&mut self, _q: &Dequant<'_>, idx: usize, level: i32) {
+        self.blocks[self.cur][idx] = level;
+    }
+}
+
+/// Every coded block of the walked slices, written back out end to end.
+#[derive(Default)]
+struct Blocks {
+    bits: BitWriter,
+    /// Per block: intra, block index in its macroblock.
+    shape: Vec<(bool, usize)>,
+    tokens: u64,
+    dc_pred: i32,
+}
+
+impl SliceVisitor for Blocks {
+    type Coeffs = Levels;
+
+    fn skipped(&mut self, _: &SliceContext<'_>, _: u32, _: u32, _: &MbMotion) -> Result<()> {
+        Ok(())
+    }
+
+    fn macroblock(
+        &mut self,
+        _: &SliceContext<'_>,
+        meta: &MbMeta,
+        levels: &mut Levels,
+    ) -> Result<()> {
+        for i in 0..6 {
+            if meta.cbp & (1 << (5 - i)) != 0 {
+                let block = &levels.blocks[i];
+                let intra = meta.flags.intra;
+                write_block(
+                    &mut self.bits,
+                    intra,
+                    i < 4,
+                    false,
+                    &mut self.dc_pred,
+                    block,
+                );
+                self.shape.push((intra, i));
+                // One token per level and one for the end of block.
+                self.tokens += 1 + block.iter().filter(|&&v| v != 0).count() as u64;
             }
-            black_box(r.bit_position());
+        }
+        Ok(())
+    }
+}
+
+fn bench_stream(c: &mut Criterion, name: &str, number: u32, frames: usize, qscale: Option<u8>) {
+    let preset = *StreamPreset::by_number(number).expect("Table 4 stream");
+    let mut cfg = preset.encoder_config();
+    if let Some(q) = qscale {
+        cfg.qscale = q;
+        cfg.target_bits_per_picture = None;
+    }
+    let data = Encoder::new(cfg)
+        .and_then(|enc| enc.encode(&preset.generate(frames)))
+        .expect("encode");
+    let plan = Plan::build(&data);
+    assert!(plan.complete);
+
+    let mut recorded = Blocks::default();
+    let mut levels = Levels {
+        blocks: [[0; 64]; 6],
+        cur: 0,
+    };
+    for pic in &plan.pictures {
+        let ctx = SliceContext {
+            seq: &pic.seq,
+            pic: &pic.info,
+        };
+        for s in &pic.slices {
+            let mut r = BitReader::at(&data, (s.offset + 4) * 8);
+            parse_slice(&mut r, &ctx, s.row, &mut recorded, &mut levels).expect("clean stream");
+        }
+    }
+    let Blocks {
+        bits,
+        shape,
+        tokens,
+        ..
+    } = recorded;
+    let bytes = bits.into_bytes();
+    let first = &plan.pictures[0];
+    let ctx = SliceContext {
+        seq: &first.seq,
+        pic: &first.info,
+    };
+    let dequant = [Dequant::new(&ctx, false, 8), Dequant::new(&ctx, true, 8)];
+
+    eprintln!("{name}: {} coded blocks, {tokens} tokens", shape.len());
+    let mut g = c.benchmark_group(format!("vlc_{name}"));
+    g.throughput(tokens, "tokens");
+    g.bench_function("parse_block_discard", |b| {
+        b.iter(|| {
+            let mut r = BitReader::new(&bytes);
+            let mut dc = 0;
+            for &(intra, i) in &shape {
+                parse_block(
+                    &mut r,
+                    &dequant[intra as usize],
+                    i,
+                    false,
+                    &mut dc,
+                    &mut Discard,
+                )
+                .unwrap();
+            }
+            black_box(r.bit_position())
         })
     });
-    g.bench_function(format!("{name}_dequant"), |b| {
+    g.bench_function("parse_block_dequant", |b| {
         let mut ws = MbCoeffs::default();
         b.iter(|| {
-            let mut r = BitReader::new(bytes);
-            let mut sum = 0;
-            for _ in 0..count {
-                parse_block(black_box(&mut r), &q, 0, false, &mut 0, &mut ws).unwrap();
-                ws.drain_block(0, |_, v| sum += v);
+            let mut r = BitReader::new(&bytes);
+            let (mut dc, mut sum) = (0, 0);
+            for &(intra, i) in &shape {
+                parse_block(&mut r, &dequant[intra as usize], i, false, &mut dc, &mut ws).unwrap();
+                ws.drain_block(i, |_, v| sum += v);
             }
-            black_box(sum);
+            black_box(sum)
         })
     });
+    let walk = || {
+        let mut coded = 0u64;
+        for pic in &plan.pictures {
+            let ctx = SliceContext {
+                seq: &pic.seq,
+                pic: &pic.info,
+            };
+            for s in &pic.slices {
+                // The slice header's five quantiser bits and extra bit.
+                let mut r = BitReader::at(&data, (s.offset + 4) * 8);
+                let q = r.read_bits(5).unwrap() as u8;
+                r.skip(1).unwrap();
+                let mut st = WalkState::slice_start(&ctx, s.row, q);
+                let mut mode = AddrMode::FirstInSlice;
+                loop {
+                    black_box(parse_one_macroblock(
+                        &mut r,
+                        &ctx,
+                        &mut st,
+                        mode,
+                        &mut Discard,
+                    ))
+                    .unwrap();
+                    coded += 1;
+                    mode = AddrMode::Continuation;
+                    if slice_done(&r) {
+                        break;
+                    }
+                }
+            }
+        }
+        coded
+    };
+    g.throughput(walk(), "macroblocks");
+    g.bench_function("parse_one_macroblock", |b| b.iter(walk));
+    g.finish();
 }
 
 fn bench_vlc(c: &mut Criterion) {
-    let mut g = c.benchmark_group("vlc");
-    let mixed = |s: u64| {
-        let v = (s % 61) as i32 - 30;
-        if v == 0 {
-            1
-        } else {
-            v
-        }
-    };
-    for density in [10u64, 40] {
-        let (bytes, count) = encoded_blocks(128, density, mixed);
-        bench_parse(
-            &mut g,
-            &format!("parse_block_density{density}"),
-            &bytes,
-            count,
-        );
-    }
-    // Levels of ±1/±2 after short runs decode entirely from the root table.
-    let (bytes, count) = encoded_blocks(128, 40, |s| if s % 4 < 2 { 1 } else { -2 });
-    bench_parse(&mut g, "parse_block_short_codes", &bytes, count);
-    // Levels of magnitude 16–40 use the longest (15/16-bit) codes, which
-    // resolve through the second-level subtable, or the escape form.
-    let (bytes, count) = encoded_blocks(128, 40, |s| {
-        let v = 16 + (s % 25) as i32;
-        if s % 2 == 0 {
-            v
-        } else {
-            -v
-        }
-    });
-    bench_parse(&mut g, "parse_block_long_codes", &bytes, count);
-    g.bench_function("mba_increment", |b| {
-        let mut w = BitWriter::new();
-        for i in 1..200u32 {
-            tiledec_mpeg2::tables::mba::encode_increment(&mut w, i % 40 + 1);
-        }
-        let bytes = w.into_bytes();
-        b.iter(|| {
-            let mut r = BitReader::new(&bytes);
-            for _ in 1..200 {
-                black_box(tiledec_mpeg2::tables::mba::decode_increment(&mut r).unwrap());
-            }
-        })
-    });
-    g.bench_function("dc_differential", |b| {
-        let mut w = BitWriter::new();
-        for i in 0..256i32 {
-            encode_dc_differential(&mut w, i % 2 == 0, (i * 37) % 511 - 255);
-        }
-        let bytes = w.into_bytes();
-        b.iter(|| {
-            let mut r = BitReader::new(&bytes);
-            for i in 0..256i32 {
-                black_box(decode_dc_differential(&mut r, i % 2 == 0).unwrap());
-            }
-        })
-    });
-    g.bench_function("mv_component", |b| {
-        let mut w = BitWriter::new();
-        for i in 0..256i32 {
-            encode_mv_component(&mut w, 3, 0, (i * 11) % 127 - 63);
-        }
-        let bytes = w.into_bytes();
-        b.iter(|| {
-            let mut r = BitReader::new(&bytes);
-            for _ in 0..256 {
-                black_box(decode_mv_component(&mut r, 3, 0).unwrap());
-            }
-        })
-    });
-    g.finish();
+    bench_stream(c, "spr", 1, 4, None);
+    bench_stream(c, "nbc", 10, 3, Some(24));
 }
 
 bench_group!(benches, bench_vlc);

@@ -25,6 +25,7 @@ impl Criterion {
         Group {
             name,
             sample_size: 20,
+            throughput: None,
         }
     }
 }
@@ -33,12 +34,20 @@ impl Criterion {
 pub struct Group {
     name: String,
     sample_size: usize,
+    throughput: Option<(u64, &'static str)>,
 }
 
 impl Group {
     /// Sets the number of timed samples per benchmark.
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_size = n.max(3);
+        self
+    }
+
+    /// Declares that one iteration of each following benchmark processes
+    /// `count` of `unit`, so the report adds a rate (millions per second).
+    pub fn throughput(&mut self, count: u64, unit: &'static str) -> &mut Self {
+        self.throughput = Some((count, unit));
         self
     }
 
@@ -54,7 +63,10 @@ impl Group {
             median_ns: 0.0,
         };
         f(&mut b);
-        eprintln!("{}/{id}: {}", self.name, format_ns(b.median_ns));
+        let rate = self.throughput.map_or(String::new(), |(count, unit)| {
+            format!("  ({:.1} M {unit}/s)", count as f64 * 1e3 / b.median_ns)
+        });
+        eprintln!("{}/{id}: {}{rate}", self.name, format_ns(b.median_ns));
         self
     }
 

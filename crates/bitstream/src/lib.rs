@@ -17,23 +17,22 @@
 //! The hot entry points are cache-accelerated: [`BitReader`] serves reads
 //! from a 64-bit shift register refilled 8 bytes at a time, and
 //! [`find_start_code`] skips zero-free words with a SWAR filter. The
-//! pre-cache implementations survive as differential oracles in [`slow`]
-//! and [`find_start_code_bytewise`].
+//! byte-wise scan survives as the differential oracle
+//! [`find_start_code_bytewise`]; the per-byte reader is test code. Entropy
+//! decoders hold the reader's cache in locals through a [`BitWindow`].
 
 #![warn(missing_docs)]
 
 pub mod fault;
 mod reader;
 mod scanner;
-pub mod slow;
 mod writer;
 
 pub use fault::{Fault, FaultPlan, FaultRng};
-pub use reader::{BitReader, BitstreamError};
+pub use reader::{BitReader, BitWindow, BitstreamError};
 pub use scanner::{
     find_start_code, find_start_code_bytewise, StartCode, StartCodeIndex, StartCodeScanner,
 };
-pub use slow::SlowBitReader;
 pub use writer::BitWriter;
 
 /// Result alias for bitstream operations.

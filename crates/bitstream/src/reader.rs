@@ -42,6 +42,21 @@ impl fmt::Display for BitstreamError {
 
 impl std::error::Error for BitstreamError {}
 
+/// The 8-byte refill both [`BitReader`] and [`BitWindow`] use, and the one
+/// place that decides whether eight bytes are ahead: `cache` holds `avail`
+/// (< 64) bits MSB-aligned, the next bit of the buffer is `fill`. Returns
+/// the topped-up cache and its bit count, or `None` when fewer than eight
+/// bytes start at `fill`'s byte.
+#[inline]
+fn load8(data: &[u8], fill: usize, cache: u64, avail: u32) -> Option<(u64, u32)> {
+    let bytes = data.get(fill >> 3..)?.first_chunk()?;
+    // `frac` bits of the first byte are already cached: shift them out so
+    // bit `fill` lands at the MSB, then append below the cached bits.
+    let frac = (fill & 7) as u32;
+    let cache = cache | (u64::from_be_bytes(*bytes) << frac) >> avail;
+    Some((cache, (avail + 64 - frac).min(64)))
+}
+
 /// MSB-first bit reader over a byte slice, accelerated by a 64-bit cache.
 ///
 /// Tracks its position in **bits** so callers (notably the macroblock-level
@@ -56,9 +71,9 @@ impl std::error::Error for BitstreamError {}
 /// 8 bytes at a time with an unaligned big-endian load on the fast path and a
 /// checked byte-at-a-time loop near the end of the buffer, which makes
 /// `peek_bits`, `skip` and `read_bits` single-shift operations instead of
-/// per-byte loops. The original per-byte implementation is preserved as
-/// [`crate::slow::SlowBitReader`], the differential oracle for the property
-/// tests and micro-benchmarks.
+/// per-byte loops. A decode loop that wants the cache in registers borrows
+/// it with [`BitReader::lend`]. The original per-byte implementation is the
+/// differential oracle of `tests/proptests.rs`.
 #[derive(Clone)]
 pub struct BitReader<'a> {
     data: &'a [u8],
@@ -68,17 +83,14 @@ pub struct BitReader<'a> {
     cache: u64,
     /// Number of valid bits in `cache` (0..=64).
     avail: u32,
+    /// Lent windows never load (see [`BitReader::at_without_window`]).
+    refuse_window: bool,
 }
 
 impl<'a> BitReader<'a> {
     /// Creates a reader positioned at the first bit of `data`.
     pub fn new(data: &'a [u8]) -> Self {
-        BitReader {
-            data,
-            pos: 0,
-            cache: 0,
-            avail: 0,
-        }
+        Self::at(data, 0)
     }
 
     /// Creates a reader positioned at `bit_pos` bits into `data`.
@@ -88,7 +100,36 @@ impl<'a> BitReader<'a> {
             pos: bit_pos,
             cache: 0,
             avail: 0,
+            refuse_window: false,
         }
+    }
+
+    /// Like [`BitReader::at`], but every window this reader lends reports
+    /// "fewer than eight bytes ahead" from the start, so its holder takes
+    /// the step-by-step path for every token. The equivalence tests decode
+    /// a buffer once with each constructor and demand identical results.
+    #[doc(hidden)]
+    pub fn at_without_window(data: &'a [u8], bit_pos: usize) -> Self {
+        BitReader {
+            refuse_window: true,
+            ..Self::at(data, bit_pos)
+        }
+    }
+
+    /// Lends the cache to a decode loop: the returned [`BitWindow`] holds
+    /// position and cache in its own fields (locals, once inlined) and
+    /// writes them back when dropped.
+    #[inline]
+    pub fn lend(&mut self) -> BitWindow<'_, 'a> {
+        let mut w = BitWindow {
+            data: if self.refuse_window { &[] } else { self.data },
+            fill: 0,
+            cache: 0,
+            avail: 0,
+            reader: self,
+        };
+        w.take_state();
+        w
     }
 
     /// The underlying byte slice.
@@ -150,20 +191,14 @@ impl<'a> BitReader<'a> {
         if self.avail > 56 {
             return;
         }
-        let fill = self.pos + self.avail as usize;
-        let byte = fill >> 3;
-        if byte + 8 <= self.data.len() {
-            // Fast path: unaligned 8-byte big-endian load. `frac` bits of the
-            // first byte are already consumed (or cached); shift them out so
-            // bit `fill` lands at the MSB, then append below the cached bits.
-            let frac = (fill & 7) as u32;
-            let w =
-                u64::from_be_bytes(self.data[byte..byte + 8].try_into().expect("8-byte window"))
-                    << frac;
-            self.cache |= w >> self.avail;
-            self.avail = (self.avail + 64 - frac).min(64);
-        } else {
-            self.refill_tail();
+        match load8(
+            self.data,
+            self.pos + self.avail as usize,
+            self.cache,
+            self.avail,
+        ) {
+            Some((cache, avail)) => (self.cache, self.avail) = (cache, avail),
+            None => self.refill_tail(),
         }
     }
 
@@ -324,6 +359,133 @@ impl<'a> BitReader<'a> {
             && self.data[byte] == 0
             && self.data[byte + 1] == 0
             && self.data[byte + 2] == 1
+    }
+}
+
+/// A [`BitReader`]'s position and cache on loan ([`BitReader::lend`]).
+///
+/// The holder asks for bits with [`ensure`](Self::ensure), decodes out of
+/// [`peek`](Self::peek) and pays with [`consume`](Self::consume): shifts on
+/// three locals, no buffer-end compare per token. Only `ensure` looks at
+/// the buffer, and only through one in-bounds 8-byte load: when fewer than
+/// eight bytes lie ahead of the cache it returns `false` and the holder
+/// decodes that token through [`step`](Self::step) — the reader's own
+/// checked operations — or drops the window and carries on with the reader.
+/// Either way every `UnexpectedEnd` is raised by the reader, at the position
+/// the step-by-step code has always reported. Dropping the window re-seats
+/// the reader at the window's position, so an error raised while it is
+/// held leaves the reader exactly where the failed token starts (nothing
+/// consumed) or ends (consumed, then rejected).
+///
+/// Invariant (the reader's): the cache holds the next `avail` bits of the
+/// buffer MSB-aligned and zeros below them — never a bit past the end.
+pub struct BitWindow<'r, 'a> {
+    reader: &'r mut BitReader<'a>,
+    /// What `ensure` may load from: the reader's buffer, or nothing.
+    data: &'a [u8],
+    /// First bit not yet in the cache: position + `avail`.
+    fill: usize,
+    cache: u64,
+    avail: u32,
+}
+
+impl<'a> BitWindow<'_, 'a> {
+    #[inline]
+    fn take_state(&mut self) {
+        // A refusing reader's cache is dropped, not lent: bits already
+        // cached would be decodable without a load.
+        let r = &*self.reader;
+        (self.cache, self.avail) = if r.refuse_window {
+            (0, 0)
+        } else {
+            (r.cache, r.avail)
+        };
+        self.fill = r.pos + self.avail as usize;
+    }
+
+    #[inline]
+    fn give_state(&mut self) {
+        self.reader.pos = self.bit_position();
+        self.reader.cache = self.cache;
+        self.reader.avail = self.avail;
+    }
+
+    /// Current position in bits from the start of the buffer.
+    #[inline]
+    pub fn bit_position(&self) -> usize {
+        self.fill - self.avail as usize
+    }
+
+    /// True when the next `n` bits (n ≤ 57) are in the cache, loading eight
+    /// bytes if they were not. False means fewer than eight bytes are left
+    /// ahead of the cache; the window is unchanged.
+    #[inline]
+    pub fn ensure(&mut self, n: u32) -> bool {
+        debug_assert!(n <= 57);
+        self.avail >= n || self.load()
+    }
+
+    #[inline]
+    fn load(&mut self) -> bool {
+        let Some((cache, avail)) = load8(self.data, self.fill, self.cache, self.avail) else {
+            return false;
+        };
+        self.fill += (avail - self.avail) as usize;
+        (self.cache, self.avail) = (cache, avail);
+        true
+    }
+
+    /// The next `n` bits (1 ≤ n ≤ 32), which the caller has `ensure`d.
+    #[inline]
+    pub fn peek(&self, n: u32) -> u32 {
+        debug_assert!((1..=32).contains(&n) && n <= self.avail);
+        (self.cache >> (64 - n)) as u32
+    }
+
+    /// Consumes `n` bits (n ≤ 32) the caller has `ensure`d.
+    #[inline]
+    pub fn consume(&mut self, n: u32) {
+        debug_assert!(n <= 32 && n <= self.avail);
+        self.cache <<= n;
+        self.avail -= n;
+    }
+
+    /// Reads `n` bits (1 ≤ n ≤ 32), through the reader when the window
+    /// cannot cover them.
+    #[inline]
+    pub fn read_bits(&mut self, n: u32) -> super::Result<u32> {
+        if !self.ensure(n) {
+            return self.step(|r| r.read_bits(n));
+        }
+        let v = self.peek(n);
+        self.consume(n);
+        Ok(v)
+    }
+
+    /// Runs `f` on the reader itself, seated at the window's position, and
+    /// picks the window up again from wherever `f` left the reader.
+    #[inline]
+    pub fn step<T>(&mut self, f: impl FnOnce(&mut BitReader<'a>) -> T) -> T {
+        self.give_state();
+        let v = f(self.reader);
+        self.take_state();
+        v
+    }
+
+    /// Error for a VLC that matches nothing at the current position.
+    #[inline]
+    pub fn invalid_code(&self, table: &'static str) -> BitstreamError {
+        BitstreamError::InvalidCode {
+            bit_pos: self.bit_position(),
+            table,
+        }
+    }
+}
+
+impl Drop for BitWindow<'_, '_> {
+    #[inline]
+    fn drop(&mut self) {
+        self.give_state();
     }
 }
 

@@ -2,8 +2,11 @@
 //! xorshift generator so every case is deterministic and reproducible
 //! (re-run a failure by plugging its printed case number into the seed).
 
+mod support;
+
+use support::SlowBitReader;
 use tiledec_bitstream::{
-    find_start_code, find_start_code_bytewise, BitReader, BitWriter, SlowBitReader, StartCode,
+    find_start_code, find_start_code_bytewise, BitReader, BitWriter, StartCode,
 };
 
 struct Rng(u64);
@@ -112,7 +115,14 @@ fn scanner_matches_naive() {
 /// interleavings — same values, same `bit_position()` after every step, and
 /// the same error (including its `bit_pos`) on overruns. Buffer lengths are
 /// kept short (0–23 bytes) so reads routinely straddle the 8-byte refill
-/// window and the end of the buffer.
+/// window and the end of the buffer. A lent [`BitWindow`] is one more
+/// operation in the mix: whatever it `ensure`s must be real buffer bits,
+/// what it peeks must be what the reference reads, and handing it back —
+/// after consuming, stepping through the reader, or neither — must leave
+/// the reader where the reference is. Every third case uses a reader whose
+/// windows refuse to load.
+///
+/// [`BitWindow`]: tiledec_bitstream::BitWindow
 #[test]
 fn cached_reader_matches_reference() {
     for case in 0..CASES {
@@ -120,10 +130,41 @@ fn cached_reader_matches_reference() {
         let len = rng.below(24) as usize;
         let data = rng.bytes(len);
         let bit_len = len * 8;
-        let mut fast = BitReader::new(&data);
+        let mut fast = if case % 3 == 2 {
+            BitReader::at_without_window(&data, 0)
+        } else {
+            BitReader::new(&data)
+        };
         let mut slow = SlowBitReader::new(&data);
         for step in 0..96 {
-            match rng.below(7) {
+            match rng.below(8) {
+                7 => {
+                    let mut w = fast.lend();
+                    for _ in 0..rng.below(6) {
+                        assert_eq!(w.bit_position(), slow.bit_position());
+                        let n = 1 + rng.below(32) as u32;
+                        if w.ensure(n) {
+                            assert!(
+                                case % 3 != 2 && n as usize <= slow.bits_remaining(),
+                                "case {case} step {step}: ensured {n} bits that are not there"
+                            );
+                            assert_eq!(w.peek(n), slow.peek_bits(n), "case {case} step {step}");
+                            if rng.below(4) != 0 {
+                                w.consume(n);
+                                slow.skip(n as usize).unwrap();
+                            }
+                        } else if rng.below(2) == 0 {
+                            assert_eq!(
+                                w.read_bits(n),
+                                slow.read_bits(n),
+                                "case {case} step {step} n {n}"
+                            );
+                        } else {
+                            let got = w.step(|r| r.skip(n as usize));
+                            assert_eq!(got, slow.skip(n as usize), "case {case} step {step}");
+                        }
+                    }
+                }
                 0 => {
                     assert_eq!(fast.read_bit(), slow.read_bit(), "case {case} step {step}");
                 }

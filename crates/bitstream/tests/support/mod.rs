@@ -1,20 +1,11 @@
-//! Test-support reference implementations.
-//!
-//! [`SlowBitReader`] is the original per-byte [`BitReader`] kept verbatim as
+//! [`SlowBitReader`] is the original per-byte `BitReader` kept verbatim as
 //! the **differential oracle**: the property suite drives random operation
 //! interleavings through both readers and asserts identical values, bit
-//! positions and error positions (`crates/bitstream/tests/proptests.rs`),
-//! and the micro-benches use it to report the cached reader's speedup. One
-//! piece of dead code was removed rather than preserved: the old
-//! `read_bits` had `take == 32` arms that were unreachable (a single byte
-//! never yields more than 8 bits per iteration).
-//!
-//! Not part of the production decode path — nothing outside tests and
-//! benches should construct one.
-//!
-//! [`BitReader`]: crate::BitReader
+//! positions and error positions. One piece of dead code was removed rather
+//! than preserved: the old `read_bits` had `take == 32` arms that were
+//! unreachable (a single byte never yields more than 8 bits per iteration).
 
-use crate::reader::BitstreamError;
+use tiledec_bitstream::{BitstreamError, Result};
 
 /// MSB-first per-byte bit reader: the pre-cache reference implementation.
 #[derive(Clone, Debug)]
@@ -28,11 +19,6 @@ impl<'a> SlowBitReader<'a> {
     /// Creates a reader positioned at the first bit of `data`.
     pub fn new(data: &'a [u8]) -> Self {
         SlowBitReader { data, pos: 0 }
-    }
-
-    /// Creates a reader positioned at `bit_pos` bits into `data`.
-    pub fn at(data: &'a [u8], bit_pos: usize) -> Self {
-        SlowBitReader { data, pos: bit_pos }
     }
 
     /// Current position in bits from the start of the buffer.
@@ -56,7 +42,7 @@ impl<'a> SlowBitReader<'a> {
     }
 
     /// Skips `n` bits without reading them.
-    pub fn skip(&mut self, n: usize) -> crate::Result<()> {
+    pub fn skip(&mut self, n: usize) -> Result<()> {
         if self.pos + n > self.data.len() * 8 {
             return Err(BitstreamError::UnexpectedEnd { bit_pos: self.pos });
         }
@@ -65,7 +51,7 @@ impl<'a> SlowBitReader<'a> {
     }
 
     /// Reads a single bit.
-    pub fn read_bit(&mut self) -> crate::Result<u32> {
+    pub fn read_bit(&mut self) -> Result<u32> {
         let byte = self
             .data
             .get(self.pos >> 3)
@@ -77,7 +63,7 @@ impl<'a> SlowBitReader<'a> {
     }
 
     /// Reads `n` bits (0 ≤ n ≤ 32) MSB-first, one byte per loop iteration.
-    pub fn read_bits(&mut self, n: u32) -> crate::Result<u32> {
+    pub fn read_bits(&mut self, n: u32) -> Result<u32> {
         debug_assert!(n <= 32);
         if self.pos + n as usize > self.data.len() * 8 {
             return Err(BitstreamError::UnexpectedEnd { bit_pos: self.pos });

@@ -484,3 +484,94 @@ fn slice_level_baseline_is_correct_with_demand_fetch_traffic() {
     assert_eq!(solo.traffic.bytes(1, 1), 0);
     assert_eq!(solo.traffic.bytes(1, 0), 0, "m=1 display moves nothing");
 }
+
+/// A tile decoder re-enters a slice mid-stream: `skip_bits` into a
+/// byte-copied payload, predictors from the SPH. Entropy decode there runs
+/// out of a lent window until fewer than eight bytes are ahead, then step
+/// by step — and the two must be indistinguishable on every partial
+/// slice, whole and cut short anywhere in its last 64 bytes: the same
+/// macroblocks, the same reader position, the same error at the same bit.
+#[test]
+fn partial_slices_parse_identically_with_and_without_the_window() {
+    use tiledec_bitstream::BitReader;
+    use tiledec_core::splitter::MacroblockSplitter;
+    use tiledec_mpeg2::block::MbCoeffs;
+    use tiledec_mpeg2::slice::{parse_one_macroblock, AddrMode, MbMotion, SliceContext, WalkState};
+
+    let stream = encode_clip(128, 96, 7, 7, 2, 5);
+    let index = tiledec_core::split_picture_units(&stream).unwrap();
+    let geom = SystemConfig::new(1, (2, 2)).geometry(128, 96).unwrap();
+    let splitter = MacroblockSplitter::new(geom, index.seq.clone());
+    let mut skip_bits_seen = [0usize; 8];
+    let mut errors = 0;
+    for (p, &(s, e)) in index.units.iter().enumerate() {
+        let out = splitter.split(p as u32, &stream[s..e]).unwrap();
+        let ctx = SliceContext {
+            seq: &index.seq,
+            pic: &out.info,
+        };
+        for run in out.subpictures.iter().flat_map(|sp| &sp.runs) {
+            if run.coded_count == 0 {
+                continue;
+            }
+            skip_bits_seen[run.skip_bits as usize] += 1;
+            // The walk of `tile_decoder::decode_run`, coefficients drained.
+            let walk = |payload: &[u8], lends: bool| {
+                let mut r = if lends {
+                    BitReader::at(payload, run.skip_bits as usize)
+                } else {
+                    BitReader::at_without_window(payload, run.skip_bits as usize)
+                };
+                let mut st = WalkState {
+                    pred: run.entry.clone(),
+                    prev_motion: run.skip_motion.unwrap_or(MbMotion::Intra),
+                    prev_addr: 0,
+                };
+                let mut coeffs = MbCoeffs::default();
+                let mut seen = Vec::new();
+                let first = run.row as u32 * ctx.mb_width() + run.first_coded_col as u32;
+                for i in 0..run.coded_count {
+                    let mode = if i == 0 {
+                        AddrMode::Forced(first)
+                    } else {
+                        AddrMode::Continuation
+                    };
+                    match parse_one_macroblock(&mut r, &ctx, &mut st, mode, &mut coeffs) {
+                        Ok(meta) => {
+                            let mut coded = Vec::new();
+                            for b in 0..6 {
+                                if meta.cbp & (1 << (5 - b)) != 0 {
+                                    coeffs.drain_block(b, |idx, v| coded.push((b, idx, v)));
+                                }
+                            }
+                            seen.push((meta, coded));
+                        }
+                        Err(e) => return (seen, Some(e), r.bit_position(), st),
+                    }
+                }
+                (seen, None, r.bit_position(), st)
+            };
+            for cut in 0..=run.payload.len().min(64) {
+                let payload = &run.payload[..run.payload.len() - cut];
+                let lent = walk(payload, true);
+                assert_eq!(
+                    lent,
+                    walk(payload, false),
+                    "picture {p} row {} skip_bits {} cut {cut}",
+                    run.row,
+                    run.skip_bits
+                );
+                if cut == 0 {
+                    assert_eq!(lent.1, None, "whole partial slices parse cleanly");
+                    assert_eq!(lent.0.len(), run.coded_count as usize);
+                }
+                errors += lent.1.is_some() as usize;
+            }
+        }
+    }
+    assert!(
+        skip_bits_seen[1..].iter().all(|&n| n > 0),
+        "every skip_bits 1-7 must occur: {skip_bits_seen:?}"
+    );
+    assert!(errors > 0, "no cut ever truncated a macroblock");
+}

@@ -13,8 +13,8 @@
 use tiledec_bitstream::{BitReader, BitWriter};
 
 use crate::quant::Dequant;
-use crate::tables::dc_size::{decode_dc_differential, encode_dc_differential};
-use crate::tables::dct_coeff::{decode_coeff, encode_coeff, encode_eob, Coeff};
+use crate::tables::dc_size::{self, decode_dc_differential, encode_dc_differential};
+use crate::tables::dct_coeff::{self, decode_token, encode_coeff, encode_eob};
 use crate::tables::scan;
 use crate::{dct, Error, Result};
 
@@ -108,7 +108,12 @@ impl MbCoeffs {
     pub fn load_levels(&mut self, q: &Dequant<'_>, i: usize, levels: &[i32; 64]) {
         self.begin_block(i);
         for (idx, &level) in levels.iter().enumerate() {
-            if level != 0 {
+            if level == 0 {
+                continue;
+            }
+            if idx == 0 && q.intra {
+                self.coeff(&q.dc(), 0, level);
+            } else {
                 self.coeff(q, idx, level);
             }
         }
@@ -146,9 +151,25 @@ impl CoeffSink for MbCoeffs {
     }
 }
 
+/// Longest coefficient token: the escape form, 6 + 6 + 12 bits (the
+/// longest table code plus its sign is 17).
+const TOKEN_BITS: u32 = 24;
+// One `ensure` covers a block's opening token whichever kind it is.
+const _: () = assert!(dc_size::MAX_BITS <= TOKEN_BITS);
+
+fn run_past_end() -> Error {
+    Error::Syntax("coefficient run past end of block".into())
+}
+
 /// Parses coded block `i` of a macroblock (0–3 luma, 4 Cb, 5 Cr) into
 /// `sink`. `dc_pred` is the running DC predictor for this component and
 /// is updated in place (only for intra blocks).
+///
+/// The block is one loop over a lent [`BitWindow`](tiledec_bitstream::BitWindow):
+/// per token one 24-bit peek, one table load, one consume. Within eight
+/// bytes of the buffer's end the window stops loading and
+/// [`finish_block`] takes over at the same scan position, token by token
+/// on the reader, so truncation is reported exactly where it always was.
 pub fn parse_block<S: CoeffSink>(
     r: &mut BitReader<'_>,
     q: &Dequant<'_>,
@@ -159,42 +180,93 @@ pub fn parse_block<S: CoeffSink>(
 ) -> Result<()> {
     sink.begin_block(i);
     let scan_table = scan::scan(alternate_scan);
-    let mut pos: usize;
-    if q.intra {
-        let diff = decode_dc_differential(r, i < 4)?;
-        *dc_pred += diff;
-        sink.coeff(q, 0, *dc_pred);
+    // Scan position of the next coefficient; 0 until the block's first
+    // token (DC differential, or first-coefficient form) is decoded.
+    let mut pos = 0usize;
+    let mut w = r.lend();
+    if w.ensure(TOKEN_BITS) {
+        if q.intra {
+            *dc_pred += dc_size::dc_differential_in(&mut w, i < 4)?;
+            sink.coeff(&q.dc(), 0, *dc_pred);
+            pos = 1;
+        } else if w.peek(1) == 1 {
+            // First-coefficient form `1s`: run 0, level ±1. Anything else
+            // first is an ordinary token (which cannot be end-of-block:
+            // that code starts with a 1 too).
+            let level = 1 - 2 * (w.peek(2) & 1) as i32;
+            w.consume(2);
+            sink.coeff(q, scan_table[0] as usize, level);
+            pos = 1;
+        }
+        while w.ensure(TOKEN_BITS) {
+            let token = w.peek(TOKEN_BITS);
+            let (value, len) = dct_coeff::TABLE.lookup(token >> 8);
+            let mut next = pos + dct_coeff::run_of(value);
+            let level;
+            if next < 64 {
+                let sign = ((token >> (TOKEN_BITS - 1 - len as u32)) & 1) as i32;
+                level = (dct_coeff::magnitude_of(value) ^ -sign) + sign;
+                w.consume(len as u32 + 1);
+            } else {
+                // Everything but a coefficient inside the block: the
+                // sentinels (their run is 64) and a run off the end.
+                match value {
+                    dct_coeff::EOB => {
+                        w.consume(len as u32);
+                        sink.end_block();
+                        return Ok(());
+                    }
+                    dct_coeff::ESCAPE => {
+                        let (run, escaped) = dct_coeff::escape_fields(token);
+                        w.consume(TOKEN_BITS);
+                        dct_coeff::check_escape_level(escaped)?;
+                        (next, level) = (pos + run, escaped);
+                        if next >= 64 {
+                            return Err(run_past_end());
+                        }
+                    }
+                    dct_coeff::INVALID => return Err(w.invalid_code(dct_coeff::NAME).into()),
+                    _ => {
+                        w.consume(len as u32 + 1);
+                        return Err(run_past_end());
+                    }
+                }
+            }
+            sink.coeff(q, scan_table[next] as usize, level);
+            pos = next + 1;
+        }
+    }
+    drop(w);
+    finish_block(r, q, i < 4, scan_table, pos, dc_pred, sink)
+}
+
+/// The rest of a block from scan position `pos`, step by step on the
+/// reader: what [`parse_block`] runs where its window cannot load.
+#[cold]
+fn finish_block<S: CoeffSink>(
+    r: &mut BitReader<'_>,
+    q: &Dequant<'_>,
+    is_luma: bool,
+    scan_table: &[u8; 64],
+    mut pos: usize,
+    dc_pred: &mut i32,
+    sink: &mut S,
+) -> Result<()> {
+    if pos == 0 && q.intra {
+        *dc_pred += decode_dc_differential(r, is_luma)?;
+        sink.coeff(&q.dc(), 0, *dc_pred);
         pos = 1;
-    } else {
-        // First coefficient cannot be EOB and uses the short run-0/±1 code.
-        match decode_coeff(r, true)? {
-            Coeff::Eob => return Err(Error::Syntax("EOB as first coefficient".into())),
-            Coeff::Run { run, level } => {
-                pos = run as usize;
-                if pos >= 64 {
-                    return Err(Error::Syntax("coefficient run past end of block".into()));
-                }
-                sink.coeff(q, scan_table[pos] as usize, level);
-                pos += 1;
-            }
-        }
     }
-    loop {
-        match decode_coeff(r, false)? {
-            Coeff::Eob => {
-                sink.end_block();
-                return Ok(());
-            }
-            Coeff::Run { run, level } => {
-                pos += run as usize;
-                if pos >= 64 {
-                    return Err(Error::Syntax("coefficient run past end of block".into()));
-                }
-                sink.coeff(q, scan_table[pos] as usize, level);
-                pos += 1;
-            }
+    while let Some((run, level)) = decode_token(r, pos == 0)? {
+        pos += run;
+        if pos >= 64 {
+            return Err(run_past_end());
         }
+        sink.coeff(q, scan_table[pos] as usize, level);
+        pos += 1;
     }
+    sink.end_block();
+    Ok(())
 }
 
 /// Writes one coded block from raster-order quantised levels. Returns

@@ -32,6 +32,11 @@ pub struct Dequant<'a> {
     dc_mult: i32,
 }
 
+/// The "matrix" under which the AC formula computes an intra DC: with
+/// weight 16 and the DC multiplier as the scale, `2·level·16·mult / 32` is
+/// `level·mult` exactly.
+static DC_WEIGHTS: [u8; 64] = [16; 64];
+
 impl<'a> Dequant<'a> {
     /// Parameters for a macroblock of `ctx`'s picture coded with
     /// `qscale_code`.
@@ -48,18 +53,28 @@ impl<'a> Dequant<'a> {
         }
     }
 
-    /// Dequantises `level` at raster index `idx` and saturates it (§7.4.3).
-    /// Index 0 of an intra block is the DC level, predictor included
-    /// (§7.4.1); everything else goes through the matrix (§7.4.2), non-intra
-    /// levels with the `±1` bias towards their sign.
+    /// The parameters an intra macroblock's DC levels (predictor included,
+    /// §7.4.1) dequantise under. The entropy decoder hands a block's DC to
+    /// its sink with these, once, before the coefficient loop, so
+    /// [`apply`](Self::apply) has no DC case to test for per coefficient.
+    #[inline]
+    pub fn dc(&self) -> Dequant<'static> {
+        Dequant {
+            intra: true,
+            matrix: &DC_WEIGHTS,
+            scale: self.dc_mult,
+            dc_mult: self.dc_mult,
+        }
+    }
+
+    /// Dequantises `level` at raster index `idx` through the matrix
+    /// (§7.4.2), non-intra levels with the `±1` bias towards their sign,
+    /// and saturates it (§7.4.3). An intra DC level comes with
+    /// [`dc`](Self::dc)'s parameters.
     #[inline]
     pub fn apply(&self, idx: usize, level: i32) -> i32 {
-        let f = if self.intra && idx == 0 {
-            level * self.dc_mult
-        } else {
-            let bias = if self.intra { 0 } else { level.signum() };
-            (2 * level + bias) * self.matrix[idx] as i32 * self.scale / 32
-        };
+        let bias = if self.intra { 0 } else { level.signum() };
+        let f = (2 * level + bias) * self.matrix[idx & 63] as i32 * self.scale / 32;
         f.clamp(-2048, 2047)
     }
 }
@@ -140,7 +155,8 @@ mod tests {
         coeffs[0] = 1024;
         let q = quant_intra(&coeffs, &DEFAULT_INTRA_MATRIX, scale, 0);
         let dq = dequant(true, &DEFAULT_INTRA_MATRIX, scale as i32);
-        for i in 0..63 {
+        assert_eq!(dq.dc().apply(0, q[0]), coeffs[0]);
+        for i in 1..63 {
             assert_eq!(dq.apply(i, q[i]), coeffs[i], "i={i}");
         }
     }
@@ -165,6 +181,20 @@ mod tests {
         assert_eq!(dq.apply(3, -2047), -2048);
         assert_eq!(dq.apply(0, 2047), 2047);
         assert_eq!(dq.apply(0, -2047), -2048);
+    }
+
+    #[test]
+    fn intra_dc_is_the_level_times_its_multiplier() {
+        for precision in 0..4u8 {
+            let dq = Dequant {
+                dc_mult: intra_dc_mult(precision),
+                ..dequant(true, &DEFAULT_INTRA_MATRIX, 31)
+            };
+            for level in [-2047, -300, -1, 0, 1, 77, 255, 256, 2047] {
+                let expect = (level * intra_dc_mult(precision)).clamp(-2048, 2047);
+                assert_eq!(dq.dc().apply(0, level), expect, "{precision} {level}");
+            }
+        }
     }
 
     #[test]

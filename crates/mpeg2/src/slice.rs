@@ -8,7 +8,7 @@
 //! the visitor's [`CoeffSink`] — dequantised for consumers that
 //! reconstruct, dropped for those that only parse.
 
-use tiledec_bitstream::{BitReader, BitWriter};
+use tiledec_bitstream::{BitReader, BitWindow, BitWriter};
 
 use crate::block::{self, CoeffSink};
 use crate::quant::Dequant;
@@ -294,6 +294,10 @@ pub fn slice_done(r: &BitReader<'_>) -> bool {
 /// Parses one macroblock (address increment + body) and advances the walk
 /// state. `mode` selects address-setting semantics for the increment.
 /// The CBP-coded blocks' coefficients go to `coeffs` as they are decoded.
+///
+/// The header (everything before the first block) is decoded out of one
+/// lent window; dropping it — at the first block, or at an error — seats
+/// the reader where the step-by-step reads would have left it.
 pub fn parse_one_macroblock(
     r: &mut BitReader<'_>,
     ctx: &SliceContext<'_>,
@@ -302,7 +306,8 @@ pub fn parse_one_macroblock(
     coeffs: &mut impl CoeffSink,
 ) -> Result<MbMeta> {
     let bit_start = r.bit_position();
-    let increment = mba::decode_increment(r)?;
+    let mut w = r.lend();
+    let increment = mba::decode_increment(&mut w)?;
     let addr = match mode {
         AddrMode::Forced(a) => a,
         _ => (st.prev_addr + increment as i64) as u32,
@@ -336,9 +341,9 @@ pub fn parse_one_macroblock(
     let entry = st.pred.clone();
     let entry_prev_motion = st.prev_motion;
 
-    let flags = mb_type::decode_mb_type(r, ctx.pic.kind)?;
+    let flags = mb_type::decode_mb_type(&mut w, ctx.pic.kind)?;
     if flags.quant {
-        let q = r.read_bits(5)? as u8;
+        let q = w.read_bits(5)? as u8;
         if q == 0 {
             return Err(Error::Syntax("quantiser_scale_code 0 in macroblock".into()));
         }
@@ -350,18 +355,18 @@ pub fn parse_one_macroblock(
         if ctx.pic.concealment_mv {
             // §7.6.3.9: a forward vector (updating the predictors the usual
             // way) followed by a marker bit, carried for concealment only.
-            concealment_mv = Some(decode_motion_vector(r, ctx, st, 0)?);
-            r.marker_bit()?;
+            concealment_mv = Some(decode_motion_vector(&mut w, ctx, st, 0)?);
+            w.step(|r| r.marker_bit())?;
         }
         MbMotion::Intra
     } else {
         let fwd = if flags.motion_forward {
-            Some(decode_motion_vector(r, ctx, st, 0)?)
+            Some(decode_motion_vector(&mut w, ctx, st, 0)?)
         } else {
             None
         };
         let bwd = if flags.motion_backward {
-            Some(decode_motion_vector(r, ctx, st, 1)?)
+            Some(decode_motion_vector(&mut w, ctx, st, 1)?)
         } else {
             None
         };
@@ -393,7 +398,7 @@ pub fn parse_one_macroblock(
     }
 
     let cbp = if flags.pattern {
-        let c = cbp::decode_cbp(r)?;
+        let c = cbp::decode_cbp(&mut w)?;
         if c == 0 {
             return Err(Error::Syntax(
                 "coded_block_pattern 0 is illegal in 4:2:0".into(),
@@ -406,6 +411,7 @@ pub fn parse_one_macroblock(
         0
     };
 
+    drop(w);
     let q = Dequant::new(ctx, flags.intra, st.pred.qscale_code);
     for i in 0..6 {
         if cbp & (1 << (5 - i)) != 0 {
@@ -442,7 +448,7 @@ pub fn parse_one_macroblock(
 
 #[allow(clippy::needless_range_loop)] // PMV[r][s][t] indexing mirrors the standard
 fn decode_motion_vector(
-    r: &mut BitReader<'_>,
+    w: &mut BitWindow<'_, '_>,
     ctx: &SliceContext<'_>,
     st: &mut WalkState,
     s: usize,
@@ -454,8 +460,8 @@ fn decode_motion_vector(
             "invalid f_code {fx}/{fy} for used prediction"
         )));
     }
-    let x = mvtab::decode_mv_component(r, fx, st.pred.pmv[0][s][0])?;
-    let y = mvtab::decode_mv_component(r, fy, st.pred.pmv[0][s][1])?;
+    let x = mvtab::decode_mv_component_in(w, fx, st.pred.pmv[0][s][0])?;
+    let y = mvtab::decode_mv_component_in(w, fy, st.pred.pmv[0][s][1])?;
     st.pred.pmv[0][s] = [x, y];
     st.pred.pmv[1][s] = [x, y];
     Ok(MotionVector::new(x as i16, y as i16))

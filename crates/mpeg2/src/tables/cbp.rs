@@ -5,13 +5,11 @@
 //! for 4:2:2/4:4:4 streams; in 4:2:0 a macroblock with no coded blocks is
 //! signalled through `macroblock_type` instead.
 
-use std::sync::OnceLock;
+use tiledec_bitstream::{BitWindow, BitWriter};
 
-use tiledec_bitstream::{BitReader, BitWriter};
+use super::vlc::{lut_len, spec, VlcSpec, VlcTable};
 
-use super::vlc::{spec, VlcSpec, VlcTable};
-
-pub(crate) const SPECS: [VlcSpec<u8>; 64] = [
+pub(crate) const SPECS: [VlcSpec; 64] = [
     spec(60, 0b111, 3),
     spec(4, 0b1101, 4),
     spec(8, 0b1100, 4),
@@ -78,26 +76,25 @@ pub(crate) const SPECS: [VlcSpec<u8>; 64] = [
     spec(0, 0b0000_0000_1, 9),
 ];
 
-pub(crate) fn table() -> &'static VlcTable<u8> {
-    static T: OnceLock<VlcTable<u8>> = OnceLock::new();
-    T.get_or_init(|| VlcTable::build("B-9 cbp", &SPECS, 0, 64, |v| *v as usize))
-}
+pub(crate) static TABLE: VlcTable<{ lut_len(&SPECS) }, 64> = VlcTable::build("B-9 cbp", &SPECS, 0);
 
 /// Decodes a coded block pattern. The caller must reject pattern 0 for
 /// 4:2:0 streams.
-pub fn decode_cbp(r: &mut BitReader<'_>) -> crate::Result<u8> {
-    table().decode(r)
+#[inline]
+pub fn decode_cbp(w: &mut BitWindow<'_, '_>) -> crate::Result<u8> {
+    Ok(TABLE.decode_in(w)? as u8)
 }
 
 /// Encodes a coded block pattern (0–63).
 pub fn encode_cbp(w: &mut BitWriter, cbp: u8) {
-    let (code, len) = table().encode_key_unwrap(cbp as usize);
+    let (code, len) = TABLE.encode_key_unwrap(cbp as usize);
     w.put_bits(code, len as u32);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tiledec_bitstream::BitReader;
 
     #[test]
     fn all_64_patterns_round_trip() {
@@ -106,7 +103,7 @@ mod tests {
             encode_cbp(&mut w, cbp);
             let bytes = w.into_bytes();
             let mut r = BitReader::new(&bytes);
-            assert_eq!(decode_cbp(&mut r).unwrap(), cbp);
+            assert_eq!(decode_cbp(&mut r.lend()).unwrap(), cbp);
         }
     }
 

@@ -1,14 +1,12 @@
 //! Tables B-12 / B-13: `dct_dc_size` for luminance and chrominance, plus
 //! the DC differential arithmetic (§7.2.1).
 
-use std::sync::OnceLock;
+use tiledec_bitstream::{BitReader, BitWindow, BitWriter};
 
-use tiledec_bitstream::{BitReader, BitWriter};
-
-use super::vlc::{spec, VlcSpec, VlcTable};
+use super::vlc::{lut_len, spec, VlcSpec, VlcTable};
 
 /// Table B-12: luminance DC size.
-pub(crate) const LUMA_SPECS: [VlcSpec<u8>; 12] = [
+pub(crate) const LUMA_SPECS: [VlcSpec; 12] = [
     spec(0, 0b100, 3),
     spec(1, 0b00, 2),
     spec(2, 0b01, 2),
@@ -24,7 +22,7 @@ pub(crate) const LUMA_SPECS: [VlcSpec<u8>; 12] = [
 ];
 
 /// Table B-13: chrominance DC size.
-pub(crate) const CHROMA_SPECS: [VlcSpec<u8>; 12] = [
+pub(crate) const CHROMA_SPECS: [VlcSpec; 12] = [
     spec(0, 0b00, 2),
     spec(1, 0b01, 2),
     spec(2, 0b10, 2),
@@ -39,74 +37,55 @@ pub(crate) const CHROMA_SPECS: [VlcSpec<u8>; 12] = [
     spec(11, 0b1111_1111_11, 10),
 ];
 
-pub(crate) fn luma_table() -> &'static VlcTable<u8> {
-    static T: OnceLock<VlcTable<u8>> = OnceLock::new();
-    T.get_or_init(|| VlcTable::build("B-12 dc_size_luma", &LUMA_SPECS, 0, 12, |v| *v as usize))
-}
+pub(crate) static LUMA: VlcTable<{ lut_len(&LUMA_SPECS) }, 12> =
+    VlcTable::build("B-12 dc_size_luma", &LUMA_SPECS, 0);
 
-pub(crate) fn chroma_table() -> &'static VlcTable<u8> {
-    static T: OnceLock<VlcTable<u8>> = OnceLock::new();
-    T.get_or_init(|| VlcTable::build("B-13 dc_size_chroma", &CHROMA_SPECS, 0, 12, |v| *v as usize))
-}
+pub(crate) static CHROMA: VlcTable<{ lut_len(&CHROMA_SPECS) }, 12> =
+    VlcTable::build("B-13 dc_size_chroma", &CHROMA_SPECS, 0);
 
-/// Decodes a DC differential for a luma (`is_luma`) or chroma block.
-///
-/// Fast path: one peek wide enough for the longest size code plus the
-/// longest differential (10 + 11 = 21 bits), one table probe, one skip.
-/// Tokens straddling the end of the buffer fall back to the step-by-step
-/// path so truncation errors keep their exact bit positions.
+/// Longest DC token: the longest size code plus the longest differential.
+pub(crate) const MAX_BITS: u32 = 10 + 11;
+
+/// The differential `size` bits spell (§7.2.1): the upper half of the
+/// range is positive, the lower half the negative values offset by one.
 #[inline]
-pub fn decode_dc_differential(r: &mut BitReader<'_>, is_luma: bool) -> crate::Result<i32> {
-    let table = if is_luma {
-        luma_table()
+fn differential(size: u32, bits: u32) -> i32 {
+    if size == 0 || bits >> (size - 1) == 1 {
+        bits as i32
     } else {
-        chroma_table()
-    };
-    r.refill();
-    let width = table.max_len() as u32 + 11;
-    let w = r.peek_bits(width);
-    let (size, len) = table.lookup(w >> 11);
-    if len == 0 {
-        return Err(r.invalid_code(table.name()).into());
+        bits as i32 - (1 << size) + 1
     }
-    if size == 0 {
-        r.skip(len as usize)?;
-        return Ok(0);
-    }
-    if r.skip(len as usize + size as usize).is_err() {
-        return decode_dc_differential_slow(r, table, size, len);
-    }
-    let bits = ((w >> (width - len as u32 - size as u32)) & ((1 << size) - 1)) as i32;
-    let half = 1i32 << (size - 1);
-    Ok(if bits >= half {
-        bits
-    } else {
-        bits - (1 << size) + 1
-    })
 }
 
-/// Step-by-step decode for differentials straddling the end of the buffer:
-/// same read sequence as the pre-cache implementation, so every truncation
-/// error carries the exact bit position the old code reported.
-#[cold]
-fn decode_dc_differential_slow(
-    r: &mut BitReader<'_>,
-    table: &VlcTable<u8>,
-    size: u8,
-    len: u8,
-) -> crate::Result<i32> {
-    debug_assert_eq!(
-        table.lookup(r.peek_bits(table.max_len() as u32)),
-        (size, len)
-    );
-    let _ = table.decode(r)?;
-    let bits = r.read_bits(size as u32)? as i32;
-    let half = 1i32 << (size - 1);
-    Ok(if bits >= half {
-        bits
+/// Decodes a DC differential for a luma (`is_luma`) or chroma block step
+/// by step — the read sequence truncation positions are defined by.
+pub fn decode_dc_differential(r: &mut BitReader<'_>, is_luma: bool) -> crate::Result<i32> {
+    let size = if is_luma {
+        LUMA.decode(r)
     } else {
-        bits - (1 << size) + 1
-    })
+        CHROMA.decode(r)
+    }? as u32;
+    Ok(differential(size, r.read_bits(size)?))
+}
+
+/// [`decode_dc_differential`] out of a window in which the caller has
+/// ensured [`MAX_BITS`]: one peek, one table load, one consume.
+#[inline]
+pub(crate) fn dc_differential_in(w: &mut BitWindow<'_, '_>, is_luma: bool) -> crate::Result<i32> {
+    let token = w.peek(MAX_BITS);
+    let (size, len) = if is_luma {
+        LUMA.lookup(token >> (MAX_BITS - LUMA.max_len() as u32))
+    } else {
+        CHROMA.lookup(token >> (MAX_BITS - CHROMA.max_len() as u32))
+    };
+    if len == 0 {
+        let name = if is_luma { LUMA.name() } else { CHROMA.name() };
+        return Err(w.invalid_code(name).into());
+    }
+    let (size, len) = (size as u32, len as u32);
+    w.consume(len + size);
+    let bits = (token >> (MAX_BITS - len - size)) & ((1 << size) - 1);
+    Ok(differential(size, bits))
 }
 
 /// Encodes a DC differential.
@@ -114,12 +93,11 @@ pub fn encode_dc_differential(w: &mut BitWriter, is_luma: bool, diff: i32) {
     let mag = diff.unsigned_abs();
     let size = 32 - mag.leading_zeros() as u8; // bits needed for |diff|
     assert!(size <= 11, "DC differential {diff} too large");
-    let table = if is_luma {
-        luma_table()
+    let (code, len) = if is_luma {
+        LUMA.encode_key_unwrap(size as usize)
     } else {
-        chroma_table()
+        CHROMA.encode_key_unwrap(size as usize)
     };
-    let (code, len) = table.encode_key_unwrap(size as usize);
     w.put_bits(code, len as u32);
     if size > 0 {
         let bits = if diff >= 0 {

@@ -6,32 +6,32 @@
 //! (end-of-block cannot occur first), while for subsequent coefficients the
 //! same pair is `11s` and `10` is end-of-block.
 
-use std::sync::OnceLock;
-
 use tiledec_bitstream::{BitReader, BitWriter};
 
-use super::vlc::{spec, VlcSpec, VlcTable};
+use super::vlc::{lut_len, spec, VlcSpec, VlcTable};
 
-/// A decoded coefficient token.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Coeff {
-    /// End of block.
-    Eob,
-    /// `run` zero coefficients followed by a signed `level`.
-    Run {
-        /// Zero coefficients preceding the value.
-        run: u8,
-        /// Signed coefficient value.
-        level: i32,
-    },
-}
-
-/// Packed table value: `run << 8 | level`; sentinels for EOB and escape.
-const EOB: u16 = 0xFFFF;
-const ESCAPE: u16 = 0xFFFE;
+/// Table values pack `run << 6 | level`. The three sentinels carry a "run"
+/// of 64, so the block loop's one range test on `position + run` also
+/// catches every token that is not a plain coefficient.
+pub(crate) const EOB: u16 = 64 << 6;
+pub(crate) const ESCAPE: u16 = EOB | 1;
+/// What a pattern no code matches looks up as (with length 0).
+pub(crate) const INVALID: u16 = EOB | 2;
 
 const fn rl(run: u16, level: u16) -> u16 {
-    (run << 8) | level
+    (run << 6) | level
+}
+
+/// The zero run a table value codes (64 for the sentinels).
+#[inline]
+pub(crate) fn run_of(value: u16) -> usize {
+    (value >> 6) as usize
+}
+
+/// The level magnitude a table value codes.
+#[inline]
+pub(crate) fn magnitude_of(value: u16) -> i32 {
+    (value & 63) as i32
 }
 
 /// Escape code: `0000 01`, then 6-bit run, then 12-bit two's-complement
@@ -40,8 +40,28 @@ pub const ESCAPE_CODE: u32 = 0b0000_01;
 /// Escape code length.
 pub const ESCAPE_LEN: u8 = 6;
 
+/// Run and level of an escape token, from its 24 bits.
+#[inline]
+pub(crate) fn escape_fields(token: u32) -> (usize, i32) {
+    let raw = (token & 0xFFF) as i32;
+    (
+        ((token >> 12) & 63) as usize,
+        if raw >= 2048 { raw - 4096 } else { raw },
+    )
+}
+
+/// The error for the two escape levels the standard forbids.
+pub(crate) fn check_escape_level(level: i32) -> crate::Result<()> {
+    if level == 0 || level == -2048 {
+        return Err(crate::Error::Syntax(format!(
+            "forbidden escape level {level}"
+        )));
+    }
+    Ok(())
+}
+
 #[rustfmt::skip]
-pub(crate) const SPECS: [VlcSpec<u16>; 113] = [
+pub(crate) const SPECS: [VlcSpec; 113] = [
     spec(EOB,        0b10, 2),
     spec(rl(0, 1),   0b11, 2),
     spec(ESCAPE,     ESCAPE_CODE, ESCAPE_LEN),
@@ -157,123 +177,39 @@ pub(crate) const SPECS: [VlcSpec<u16>; 113] = [
     spec(rl(31, 1),  0b0000_0000_0001_1011, 16),
 ];
 
-/// Encode key: `run * 48 + level` (levels are ≤ 40).
-fn enc_key(v: &u16) -> usize {
-    match *v {
-        EOB => 0,
-        ESCAPE => 1,
-        packed => {
-            let run = (packed >> 8) as usize;
-            let level = (packed & 0xFF) as usize;
-            2 + run * 48 + level
-        }
-    }
-}
+/// Table name, as reported in invalid-code errors.
+pub(crate) const NAME: &str = "B-14 dct_coeff";
 
-/// Table name, shared by the builder and the fast path's error report.
-const NAME: &str = "B-14 dct_coeff";
+pub(crate) static TABLE: VlcTable<{ lut_len(&SPECS) }, { 32 << 6 }> =
+    VlcTable::build(NAME, &SPECS, INVALID);
 
-pub(crate) fn table() -> &'static VlcTable<u16> {
-    static T: OnceLock<VlcTable<u16>> = OnceLock::new();
-    T.get_or_init(|| VlcTable::build(NAME, &SPECS, EOB, 2 + 32 * 48, enc_key))
-}
-
-/// Decodes the next coefficient token. `first` selects the first-coefficient
-/// variant of the run-0/level-1 code.
+/// Decodes the next coefficient token step by step: `None` for
+/// end-of-block, else `(run, level)`. `first` selects the first-coefficient
+/// variant of the run-0/level-1 code, under which a leading `1` is always
+/// a coefficient — `decode_token(r, true)` never returns `None`.
 ///
-/// Fast path: one refill, one 24-bit peek — wide enough for the longest
-/// code plus its sign bit (16 + 1) and for the full escape form
-/// (6 + 6 + 12 = 24) — then one table probe and a single skip of the whole
-/// token. Only when the token straddles the end of the buffer does it fall
-/// back to the step-by-step path, which reads exactly like the pre-cache
-/// implementation so truncation errors keep their exact bit positions.
-#[inline]
-pub fn decode_coeff(r: &mut BitReader<'_>, first: bool) -> crate::Result<Coeff> {
-    r.refill();
-    let w = r.peek_bits(24);
-    if first && (w >> 23) == 1 {
-        if r.skip(2).is_err() {
-            return decode_coeff_slow(r, first);
-        }
-        return Ok(Coeff::Run {
-            run: 0,
-            level: if (w >> 22) & 1 == 1 { -1 } else { 1 },
-        });
-    }
-    let (packed, len) = table().lookup(w >> 8);
-    if len == 0 {
-        return Err(r.invalid_code(NAME).into());
-    }
-    match packed {
-        EOB => {
-            r.skip(len as usize)?;
-            Ok(Coeff::Eob)
-        }
-        ESCAPE => {
-            if r.skip(24).is_err() {
-                return decode_coeff_slow(r, first);
-            }
-            let raw = (w & 0xFFF) as i32;
-            let level = if raw >= 2048 { raw - 4096 } else { raw };
-            if level == 0 || level == -2048 {
-                return Err(crate::Error::Syntax(format!(
-                    "forbidden escape level {level}"
-                )));
-            }
-            Ok(Coeff::Run {
-                run: ((w >> 12) & 63) as u8,
-                level,
-            })
-        }
-        _ => {
-            if r.skip(len as usize + 1).is_err() {
-                return decode_coeff_slow(r, first);
-            }
-            let mag = (packed & 0xFF) as i32;
-            let sign = (w >> (23 - len as u32)) & 1;
-            Ok(Coeff::Run {
-                run: (packed >> 8) as u8,
-                level: if sign == 1 { -mag } else { mag },
-            })
-        }
-    }
-}
-
-/// Step-by-step decode for tokens that straddle the end of the buffer:
-/// performs the same sequence of reads as the pre-cache implementation so
-/// every truncation error carries the exact bit position the old code
-/// reported (the wire-fuzz and teardown suites assert on these).
-#[cold]
-fn decode_coeff_slow(r: &mut BitReader<'_>, first: bool) -> crate::Result<Coeff> {
+/// This is the read sequence every truncation error's bit position is
+/// defined by (the wire-fuzz and teardown suites assert on them): the
+/// block loop in [`crate::block`] decodes whole tokens out of a lent
+/// window and comes here only within eight bytes of the buffer's end.
+pub fn decode_token(r: &mut BitReader<'_>, first: bool) -> crate::Result<Option<(usize, i32)>> {
     if first && r.peek_bits(1) == 1 {
         r.skip(1)?;
         let sign = r.read_bit()?;
-        return Ok(Coeff::Run {
-            run: 0,
-            level: if sign == 1 { -1 } else { 1 },
-        });
+        return Ok(Some((0, if sign == 1 { -1 } else { 1 })));
     }
-    match table().decode(r)? {
-        EOB => Ok(Coeff::Eob),
+    match TABLE.decode(r)? {
+        EOB => Ok(None),
         ESCAPE => {
-            let run = r.read_bits(6)? as u8;
-            let raw = r.read_bits(12)? as i32;
-            let level = if raw >= 2048 { raw - 4096 } else { raw };
-            if level == 0 || level == -2048 {
-                return Err(crate::Error::Syntax(format!(
-                    "forbidden escape level {level}"
-                )));
-            }
-            Ok(Coeff::Run { run, level })
+            let run = r.read_bits(6)?;
+            let (run, level) = escape_fields(run << 12 | r.read_bits(12)?);
+            check_escape_level(level)?;
+            Ok(Some((run, level)))
         }
         packed => {
-            let run = (packed >> 8) as u8;
-            let mag = (packed & 0xFF) as i32;
+            let mag = magnitude_of(packed);
             let sign = r.read_bit()?;
-            Ok(Coeff::Run {
-                run,
-                level: if sign == 1 { -mag } else { mag },
-            })
+            Ok(Some((run_of(packed), if sign == 1 { -mag } else { mag })))
         }
     }
 }
@@ -304,7 +240,7 @@ pub fn encode_coeff(w: &mut BitWriter, first: bool, run: u8, level: i32) {
     }
     if level.abs() <= max_table_level(run) {
         let packed = rl(run as u16, level.unsigned_abs() as u16);
-        let (code, len) = table().encode_key_unwrap(enc_key(&packed));
+        let (code, len) = TABLE.encode_key_unwrap(packed as usize);
         w.put_bits(code, len as u32);
         w.put_bit((level < 0) as u32);
     } else {
@@ -324,18 +260,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn table_builds_prefix_free() {
-        let _ = table();
-    }
-
-    #[test]
     fn every_table_entry_round_trips_both_signs() {
         for s in &SPECS {
             if s.value == EOB || s.value == ESCAPE {
                 continue;
             }
-            let run = (s.value >> 8) as u8;
-            let mag = (s.value & 0xFF) as i32;
+            let run = run_of(s.value) as u8;
+            let mag = magnitude_of(s.value);
             for level in [mag, -mag] {
                 for first in [false, true] {
                     let mut w = BitWriter::new();
@@ -343,8 +274,8 @@ mod tests {
                     let bytes = w.into_bytes();
                     let mut r = BitReader::new(&bytes);
                     assert_eq!(
-                        decode_coeff(&mut r, first).unwrap(),
-                        Coeff::Run { run, level },
+                        decode_token(&mut r, first).unwrap(),
+                        Some((run as usize, level)),
                         "run={run} level={level} first={first}"
                     );
                 }
@@ -367,8 +298,8 @@ mod tests {
             let bytes = w.into_bytes();
             let mut r = BitReader::new(&bytes);
             assert_eq!(
-                decode_coeff(&mut r, false).unwrap(),
-                Coeff::Run { run, level }
+                decode_token(&mut r, false).unwrap(),
+                Some((run as usize, level))
             );
         }
     }
@@ -379,14 +310,11 @@ mod tests {
         encode_eob(&mut w);
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
-        assert_eq!(decode_coeff(&mut r, false).unwrap(), Coeff::Eob);
+        assert_eq!(decode_token(&mut r, false).unwrap(), None);
         // As a first coefficient the leading 1 takes the first-coefficient
         // path: '1' + sign '0' reads as run 0 / level +1.
         let mut r = BitReader::new(&bytes);
-        assert_eq!(
-            decode_coeff(&mut r, true).unwrap(),
-            Coeff::Run { run: 0, level: 1 }
-        );
+        assert_eq!(decode_token(&mut r, true).unwrap(), Some((0, 1)));
     }
 
     #[test]
@@ -408,7 +336,7 @@ mod tests {
         w.put_bits(0, 12);
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
-        assert!(decode_coeff(&mut r, false).is_err());
+        assert!(decode_token(&mut r, false).is_err());
         // escape + run 0 + level -2048 (0x800).
         let mut w = BitWriter::new();
         w.put_bits(ESCAPE_CODE, ESCAPE_LEN as u32);
@@ -416,7 +344,7 @@ mod tests {
         w.put_bits(0x800, 12);
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
-        assert!(decode_coeff(&mut r, false).is_err());
+        assert!(decode_token(&mut r, false).is_err());
     }
 
     #[test]
@@ -424,8 +352,8 @@ mod tests {
         for run in 0u8..64 {
             let max_in_specs = SPECS
                 .iter()
-                .filter(|s| s.value != EOB && s.value != ESCAPE && (s.value >> 8) as u8 == run)
-                .map(|s| (s.value & 0xFF) as i32)
+                .filter(|s| s.value != EOB && s.value != ESCAPE && run_of(s.value) == run as usize)
+                .map(|s| magnitude_of(s.value))
                 .max()
                 .unwrap_or(0);
             assert_eq!(max_table_level(run), max_in_specs, "run={run}");

@@ -1,41 +1,49 @@
 //! Tables B-2, B-3, B-4: `macroblock_type` for I, P and B pictures.
 
-use std::sync::OnceLock;
-
-use tiledec_bitstream::{BitReader, BitWriter};
+use tiledec_bitstream::{BitWindow, BitWriter};
 
 use crate::types::{MbFlags, PictureKind};
 
-use super::vlc::{spec, VlcSpec, VlcTable};
+use super::vlc::{lut_len, spec, VlcSpec, VlcTable};
 
-/// Flags encoded as a compact bitmask for table keys:
+/// Table values are the flags as a bitmask:
 /// bit0 quant, bit1 fwd, bit2 bwd, bit3 pattern, bit4 intra.
-fn key(f: &MbFlags) -> usize {
-    (f.quant as usize)
-        | (f.motion_forward as usize) << 1
-        | (f.motion_backward as usize) << 2
-        | (f.pattern as usize) << 3
-        | (f.intra as usize) << 4
+const fn flags(quant: bool, fwd: bool, bwd: bool, pattern: bool, intra: bool) -> u16 {
+    (quant as u16)
+        | (fwd as u16) << 1
+        | (bwd as u16) << 2
+        | (pattern as u16) << 3
+        | (intra as u16) << 4
 }
 
-const fn flags(quant: bool, fwd: bool, bwd: bool, pattern: bool, intra: bool) -> MbFlags {
+fn key(f: &MbFlags) -> usize {
+    flags(
+        f.quant,
+        f.motion_forward,
+        f.motion_backward,
+        f.pattern,
+        f.intra,
+    ) as usize
+}
+
+const fn from_key(k: u16) -> MbFlags {
     MbFlags {
-        quant,
-        motion_forward: fwd,
-        motion_backward: bwd,
-        pattern,
-        intra,
+        quant: k & 1 != 0,
+        motion_forward: k & 2 != 0,
+        motion_backward: k & 4 != 0,
+        pattern: k & 8 != 0,
+        intra: k & 16 != 0,
     }
 }
 
 /// Table B-2 (I pictures).
-pub(crate) const I_SPECS: [VlcSpec<MbFlags>; 2] = [
+pub(crate) const I_SPECS: [VlcSpec; 2] = [
     spec(flags(false, false, false, false, true), 0b1, 1),
     spec(flags(true, false, false, false, true), 0b01, 2),
 ];
 
 /// Table B-3 (P pictures).
-pub(crate) const P_SPECS: [VlcSpec<MbFlags>; 7] = [
+pub(crate) const P_SPECS: [VlcSpec; 7] = [
     spec(flags(false, true, false, true, false), 0b1, 1),
     spec(flags(false, false, false, true, false), 0b01, 2),
     spec(flags(false, true, false, false, false), 0b001, 3),
@@ -46,7 +54,7 @@ pub(crate) const P_SPECS: [VlcSpec<MbFlags>; 7] = [
 ];
 
 /// Table B-4 (B pictures).
-pub(crate) const B_SPECS: [VlcSpec<MbFlags>; 11] = [
+pub(crate) const B_SPECS: [VlcSpec; 11] = [
     spec(flags(false, true, true, false, false), 0b10, 2),
     spec(flags(false, true, true, true, false), 0b11, 2),
     spec(flags(false, false, true, false, false), 0b010, 3),
@@ -60,59 +68,66 @@ pub(crate) const B_SPECS: [VlcSpec<MbFlags>; 11] = [
     spec(flags(true, false, false, false, true), 0b0000_01, 6),
 ];
 
-pub(crate) fn table(kind: PictureKind) -> &'static VlcTable<MbFlags> {
-    static I: OnceLock<VlcTable<MbFlags>> = OnceLock::new();
-    static P: OnceLock<VlcTable<MbFlags>> = OnceLock::new();
-    static B: OnceLock<VlcTable<MbFlags>> = OnceLock::new();
-    let default = flags(false, false, false, false, false);
-    match kind {
-        PictureKind::I => {
-            I.get_or_init(|| VlcTable::build("B-2 mb_type(I)", &I_SPECS, default, 32, key))
-        }
-        PictureKind::P => {
-            P.get_or_init(|| VlcTable::build("B-3 mb_type(P)", &P_SPECS, default, 32, key))
-        }
-        PictureKind::B => {
-            B.get_or_init(|| VlcTable::build("B-4 mb_type(B)", &B_SPECS, default, 32, key))
-        }
-    }
-}
+pub(crate) static I_TABLE: VlcTable<{ lut_len(&I_SPECS) }, 32> =
+    VlcTable::build("B-2 mb_type(I)", &I_SPECS, 0);
+pub(crate) static P_TABLE: VlcTable<{ lut_len(&P_SPECS) }, 32> =
+    VlcTable::build("B-3 mb_type(P)", &P_SPECS, 0);
+pub(crate) static B_TABLE: VlcTable<{ lut_len(&B_SPECS) }, 32> =
+    VlcTable::build("B-4 mb_type(B)", &B_SPECS, 0);
 
 /// Decodes `macroblock_type` for the given picture kind.
-pub fn decode_mb_type(r: &mut BitReader<'_>, kind: PictureKind) -> crate::Result<MbFlags> {
-    table(kind).decode(r)
+#[inline]
+pub fn decode_mb_type(w: &mut BitWindow<'_, '_>, kind: PictureKind) -> crate::Result<MbFlags> {
+    Ok(from_key(match kind {
+        PictureKind::I => I_TABLE.decode_in(w),
+        PictureKind::P => P_TABLE.decode_in(w),
+        PictureKind::B => B_TABLE.decode_in(w),
+    }?))
 }
 
 /// Encodes `macroblock_type`. Panics if the flag combination is not legal
 /// for the picture kind.
 pub fn encode_mb_type(w: &mut BitWriter, kind: PictureKind, f: MbFlags) {
-    let (code, len) = table(kind).encode_key_unwrap(key(&f));
+    let (code, len) = match kind {
+        PictureKind::I => I_TABLE.encode_key_unwrap(key(&f)),
+        PictureKind::P => P_TABLE.encode_key_unwrap(key(&f)),
+        PictureKind::B => B_TABLE.encode_key_unwrap(key(&f)),
+    };
     w.put_bits(code, len as u32);
-}
-
-/// All legal flag combinations for a picture kind (used by tests and the
-/// encoder's mode decision).
-pub fn legal_types(kind: PictureKind) -> &'static [VlcSpec<MbFlags>] {
-    match kind {
-        PictureKind::I => &I_SPECS,
-        PictureKind::P => &P_SPECS,
-        PictureKind::B => &B_SPECS,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tiledec_bitstream::BitReader;
+
+    /// All legal flag combinations for a picture kind.
+    fn legal_types(kind: PictureKind) -> &'static [VlcSpec] {
+        match kind {
+            PictureKind::I => &I_SPECS,
+            PictureKind::P => &P_SPECS,
+            PictureKind::B => &B_SPECS,
+        }
+    }
+
+    const fn flags(quant: bool, fwd: bool, bwd: bool, pattern: bool, intra: bool) -> MbFlags {
+        from_key(super::flags(quant, fwd, bwd, pattern, intra))
+    }
 
     #[test]
     fn all_types_round_trip() {
         for kind in [PictureKind::I, PictureKind::P, PictureKind::B] {
             for s in legal_types(kind) {
                 let mut w = BitWriter::new();
-                encode_mb_type(&mut w, kind, s.value);
+                let value = from_key(s.value);
+                encode_mb_type(&mut w, kind, value);
                 let bytes = w.into_bytes();
                 let mut r = BitReader::new(&bytes);
-                assert_eq!(decode_mb_type(&mut r, kind).unwrap(), s.value, "{kind:?}");
+                assert_eq!(
+                    decode_mb_type(&mut r.lend(), kind).unwrap(),
+                    value,
+                    "{kind:?}"
+                );
                 assert_eq!(r.bit_position(), s.len as usize);
             }
         }

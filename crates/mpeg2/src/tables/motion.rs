@@ -4,14 +4,12 @@
 //! Non-zero codes are followed by a sign bit; the magnitude table shares its
 //! Huffman tree with the macroblock-address-increment table.
 
-use std::sync::OnceLock;
+use tiledec_bitstream::{BitReader, BitWindow, BitWriter};
 
-use tiledec_bitstream::{BitReader, BitWriter};
-
-use super::vlc::{spec, VlcSpec, VlcTable};
+use super::vlc::{lut_len, spec, VlcSpec, VlcTable};
 
 /// Decoded motion code: magnitude 0–16 (sign handled separately).
-pub(crate) const SPECS: [VlcSpec<u8>; 17] = [
+pub(crate) const SPECS: [VlcSpec; 17] = [
     spec(0, 0b1, 1),
     spec(1, 0b01, 2),
     spec(2, 0b001, 3),
@@ -31,14 +29,12 @@ pub(crate) const SPECS: [VlcSpec<u8>; 17] = [
     spec(16, 0b0000_0011_00, 10),
 ];
 
-pub(crate) fn table() -> &'static VlcTable<u8> {
-    static T: OnceLock<VlcTable<u8>> = OnceLock::new();
-    T.get_or_init(|| VlcTable::build("B-10 motion_code", &SPECS, 0, 17, |v| *v as usize))
-}
+pub(crate) static TABLE: VlcTable<{ lut_len(&SPECS) }, 17> =
+    VlcTable::build("B-10 motion_code", &SPECS, 0);
 
 /// Decodes a signed motion code (−16 … +16).
 pub fn decode_motion_code(r: &mut BitReader<'_>) -> crate::Result<i32> {
-    let mag = table().decode(r)? as i32;
+    let mag = TABLE.decode(r)? as i32;
     if mag == 0 {
         return Ok(0);
     }
@@ -52,72 +48,75 @@ pub fn encode_motion_code(w: &mut BitWriter, code: i32) {
         (-16..=16).contains(&code),
         "motion code {code} out of range"
     );
-    let (bits, len) = table().encode_key_unwrap(code.unsigned_abs() as usize);
+    let (bits, len) = TABLE.encode_key_unwrap(code.unsigned_abs() as usize);
     w.put_bits(bits, len as u32);
     if code != 0 {
         w.put_bit((code < 0) as u32);
     }
 }
 
-/// Decodes one motion-vector component (§7.6.3.1): reads `motion_code` and,
-/// when `f_code > 1` and the code is non-zero, an `f_code − 1`-bit residual.
-/// Returns the new component value given the prediction `pred`, wrapping
-/// into the legal range.
-///
-/// Fast path: one peek wide enough for the longest motion code plus sign
-/// and residual (10 + 1 + 8 = 19 bits), one table probe, one skip. Tokens
-/// straddling the end of the buffer fall back to the step-by-step path so
-/// truncation errors keep their exact bit positions.
+/// The component delta a non-zero `motion_code` and its residual spell
+/// (§7.6.3.1), for `f = 1 << (f_code − 1)`.
 #[inline]
+fn delta(code: i32, residual: i32, f: i32) -> i32 {
+    let mag = (code.abs() - 1) * f + residual + 1;
+    if code < 0 {
+        -mag
+    } else {
+        mag
+    }
+}
+
+/// Decodes one motion-vector component (§7.6.3.1) step by step: reads
+/// `motion_code` and, when `f_code > 1` and the code is non-zero, an
+/// `f_code − 1`-bit residual. Returns the new component value given the
+/// prediction `pred`, wrapping into the legal range. This is the read
+/// sequence truncation positions are defined by.
 pub fn decode_mv_component(r: &mut BitReader<'_>, f_code: u8, pred: i32) -> crate::Result<i32> {
     let r_size = (f_code - 1) as u32;
     let f = 1i32 << r_size;
-    let t = table();
-    r.refill();
-    let width = t.max_len() as u32 + 1 + r_size;
-    let w = r.peek_bits(width);
-    let (mag, len) = t.lookup(w >> (1 + r_size));
-    if len == 0 {
-        return Err(r.invalid_code(t.name()).into());
-    }
-    if mag == 0 {
-        r.skip(len as usize)?;
+    let code = decode_motion_code(r)?;
+    if code == 0 {
         return Ok(wrap_mv(pred, f));
     }
-    if r.skip(len as usize + 1 + r_size as usize).is_err() {
-        return decode_mv_component_slow(r, f_code, pred);
-    }
-    let sign = (w >> (width - len as u32 - 1)) & 1;
-    let residual = ((w >> (width - len as u32 - 1 - r_size)) & ((1u32 << r_size) - 1)) as i32;
-    let mag = (mag as i32 - 1) * f + residual + 1;
-    let delta = if sign == 1 { -mag } else { mag };
-    Ok(wrap_mv(pred + delta, f))
+    let residual = r.read_bits(r_size)? as i32;
+    Ok(wrap_mv(pred + delta(code, residual, f), f))
 }
 
-/// Step-by-step decode for components straddling the end of the buffer:
-/// same read sequence as the pre-cache implementation, so every truncation
-/// error carries the exact bit position the old code reported.
-#[cold]
-fn decode_mv_component_slow(r: &mut BitReader<'_>, f_code: u8, pred: i32) -> crate::Result<i32> {
+/// [`decode_mv_component`] out of a lent window: one peek wide enough for
+/// the longest motion code plus sign and residual (10 + 1 + 8 = 19 bits),
+/// one table load, one consume. A window that cannot cover that steps
+/// through the reader.
+#[inline]
+pub fn decode_mv_component_in(
+    w: &mut BitWindow<'_, '_>,
+    f_code: u8,
+    pred: i32,
+) -> crate::Result<i32> {
     let r_size = (f_code - 1) as u32;
     let f = 1i32 << r_size;
-    let code = decode_motion_code(r)?;
-    let delta = if code == 0 {
-        0
+    let width = TABLE.max_len() as u32 + 1 + r_size;
+    if !w.ensure(width) {
+        return w.step(|r| decode_mv_component(r, f_code, pred));
+    }
+    let token = w.peek(width);
+    let (mag, len) = TABLE.lookup(token >> (1 + r_size));
+    if len == 0 {
+        return Err(w.invalid_code(TABLE.name()).into());
+    }
+    if mag == 0 {
+        w.consume(len as u32);
+        return Ok(wrap_mv(pred, f));
+    }
+    w.consume(len as u32 + 1 + r_size);
+    let rest = token >> (width - len as u32 - 1 - r_size);
+    let code = if (rest >> r_size) & 1 == 1 {
+        -(mag as i32)
     } else {
-        let residual = if r_size > 0 {
-            r.read_bits(r_size)? as i32
-        } else {
-            0
-        };
-        let mag = (code.abs() - 1) * f + residual + 1;
-        if code < 0 {
-            -mag
-        } else {
-            mag
-        }
+        mag as i32
     };
-    Ok(wrap_mv(pred + delta, f))
+    let residual = (rest & ((1 << r_size) - 1)) as i32;
+    Ok(wrap_mv(pred + delta(code, residual, f), f))
 }
 
 /// Encodes one motion-vector component value given the prediction. The
