@@ -101,6 +101,41 @@ fn bench_mc_halfpel(c: &mut Criterion) {
     g.finish();
 }
 
+/// The members the reconstructor calls: the same kernels writing into rows
+/// a whole HD line apart, as they do into a lent frame, where the packed
+/// rows above write one 256-byte block. `benchmark/` can only time the
+/// packed ones until it is unfrozen.
+fn bench_mc_strided(c: &mut Criterion) {
+    let (src_stride, dst_stride) = (64usize, 1920usize);
+    let src = random_bytes(src_stride * 20, 7);
+    let mut dst = random_bytes(15 * dst_stride + 16, 9);
+    let mut g = c.benchmark_group("mc_strided");
+    for set in kernels::available() {
+        let variants: [(&str, kernels::McKernel); 5] = [
+            ("copy", set.mc_copy_strided),
+            ("avg_h", set.mc_avg_h_strided),
+            ("avg_v", set.mc_avg_v_strided),
+            ("avg_hv", set.mc_avg_hv_strided),
+            ("average", set.average),
+        ];
+        for (vname, f) in variants {
+            g.bench_function(format!("{}_{vname}_16x16_into_1920", set.name), |b| {
+                b.iter(|| {
+                    f(
+                        black_box(&src),
+                        src_stride,
+                        black_box(&mut dst),
+                        dst_stride,
+                        16,
+                    );
+                    black_box(dst[0]);
+                })
+            });
+        }
+    }
+    g.finish();
+}
+
 fn bench_recon_add(c: &mut Criterion) {
     let residuals = random_blocks(16);
     let mut mb = [128u8; 256];
@@ -166,6 +201,7 @@ bench_group!(
     bench_idct_dispatch,
     bench_idct_masked,
     bench_mc_halfpel,
+    bench_mc_strided,
     bench_recon_add
 );
 bench_main!(benches);

@@ -23,8 +23,7 @@
 //!   target frame through the disjoint band-borrow API
 //!   ([`Frame::as_band_mut`]/`split_at_mb_row` — a mutable borrow per
 //!   band, so disjointness is enforced by the borrow checker, and a
-//!   row-major band splice is a single `copy_band` kernel call per
-//!   plane).
+//!   row-major band splice is a single `memcpy` per plane).
 //! * **Cross-picture pipelining** — picture `N+1`'s VLD overlaps picture
 //!   `N`'s reconstruction (the VLD dispatch window runs ahead of
 //!   emission), and a reference-readiness dependency tracker dispatches
@@ -58,7 +57,7 @@ use tiledec_cluster::sync::{lock_ignore_poison, wait_ignore_poison};
 use tiledec_mpeg2::block::MbCoeffs;
 use tiledec_mpeg2::decoder::{flush_picture_info, Decoder, StreamSummary};
 use tiledec_mpeg2::motion::FrameRefs;
-use tiledec_mpeg2::recon::{MbSink, Reconstructor};
+use tiledec_mpeg2::recon::{Covered, MbCoverage, MbDst, MbSink, Reconstructor};
 use tiledec_mpeg2::resilient::decode_all_resilient_with;
 use tiledec_mpeg2::slice::SliceContext;
 use tiledec_mpeg2::types::{PictureInfo, PictureKind};
@@ -133,8 +132,8 @@ impl<T> Queue<T> {
 
 /// A recon worker's owned output: packed pixels for one row band of one
 /// picture (luma `width × rows·16`, chroma quarter-size). Recycled
-/// through a pool; `prepare` re-zeroes without allocating once the
-/// capacity high-water mark is reached.
+/// through a pool and handed out *stale* — `prepare` keeps whatever the
+/// last band left — so the worker zeroes what its slices did not write.
 #[derive(Default)]
 struct BandBuffer {
     y: Vec<u8>,
@@ -152,14 +151,9 @@ fn reserve_to<T>(v: &mut Vec<T>, n: usize) {
     v.reserve(n.saturating_sub(v.len()));
 }
 
-fn resize_zeroed(v: &mut Vec<u8>, n: usize) {
-    v.clear();
-    v.resize(n, 0);
-}
-
 impl BandBuffer {
     /// Grows capacity to a `width × mb_rows·16` band without touching the
-    /// contents; [`prepare`](Self::prepare) zero-fills at dispatch.
+    /// contents, so [`prepare`](Self::prepare) never allocates.
     fn reserve(&mut self, width: usize, mb_rows: usize) {
         let luma = width.saturating_mul(mb_rows).saturating_mul(16);
         reserve_to(&mut self.y, luma);
@@ -167,50 +161,48 @@ impl BandBuffer {
         reserve_to(&mut self.cr, luma / 4);
     }
 
-    /// Sizes the buffer for a band and zero-fills it — the same
-    /// background [`Frame::zeroed`] gives rows no slice ever writes, so
-    /// assembly can splice bands without pre-clearing the frame.
+    /// Sizes the buffer for a band. `resize` without `clear`: the bytes
+    /// shared with the band before stay as they are, and only what a
+    /// taller band adds is zero-filled.
     fn prepare(&mut self, width: usize, mb_y0: usize, mb_y1: usize) {
         let rows = (mb_y1 - mb_y0) * 16;
-        resize_zeroed(&mut self.y, width * rows);
-        resize_zeroed(&mut self.cb, (width / 2) * (rows / 2));
-        resize_zeroed(&mut self.cr, (width / 2) * (rows / 2));
+        self.y.resize(width * rows, 0);
+        self.cb.resize((width / 2) * (rows / 2), 0);
+        self.cr.resize((width / 2) * (rows / 2), 0);
         self.width = width;
         self.mb_y0 = mb_y0;
         self.mb_y1 = mb_y1;
     }
 }
 
-/// [`MbSink`] writing macroblocks into a packed [`BandBuffer`].
+/// [`MbSink`] lending macroblocks of a packed [`BandBuffer`].
 ///
 /// Plays the same role as replaying into a borrowed
-/// [`FrameBandMut`](tiledec_mpeg2::FrameBandMut) (the in-place variant
-/// proven equivalent by the property tests) but with owned storage, so
-/// persistent worker threads can hold it across pictures.
+/// [`FrameBandMut`](tiledec_mpeg2::FrameBandMut) but with owned storage,
+/// so persistent worker threads can hold it across pictures.
 struct BandSink<'a> {
     buf: &'a mut BandBuffer,
 }
 
 impl MbSink for BandSink<'_> {
-    fn write_mb(&mut self, mb_x: u32, mb_y: u32, y: &[u8; 256], cb: &[u8; 64], cr: &[u8; 64]) {
+    fn lend(&mut self, mb_x: u32, mb_y: u32) -> MbDst<'_> {
+        let buf = &mut *self.buf;
         let (mb_x, mb_y) = (mb_x as usize, mb_y as usize);
+        let (w, cw) = (buf.width, buf.width / 2);
         assert!(
-            (self.buf.mb_y0..self.buf.mb_y1).contains(&mb_y),
-            "macroblock row {mb_y} outside band [{}, {})",
-            self.buf.mb_y0,
-            self.buf.mb_y1
+            (buf.mb_y0..buf.mb_y1).contains(&mb_y) && mb_x < w / 16,
+            "macroblock ({mb_x},{mb_y}) outside band [{}, {}) of {w} pixels",
+            buf.mb_y0,
+            buf.mb_y1
         );
-        let w = self.buf.width;
-        let (px, py) = (mb_x * 16, (mb_y - self.buf.mb_y0) * 16);
-        for r in 0..16 {
-            let dst = (py + r) * w + px;
-            self.buf.y[dst..dst + 16].copy_from_slice(&y[r * 16..r * 16 + 16]);
-        }
-        let (cw, cx, cy) = (w / 2, px / 2, py / 2);
-        for r in 0..8 {
-            let dst = (cy + r) * cw + cx;
-            self.buf.cb[dst..dst + 8].copy_from_slice(&cb[r * 8..r * 8 + 8]);
-            self.buf.cr[dst..dst + 8].copy_from_slice(&cr[r * 8..r * 8 + 8]);
+        let (px, py) = (mb_x * 16, (mb_y - buf.mb_y0) * 16);
+        let (luma, chroma) = (py * w + px, py / 2 * cw + px / 2);
+        MbDst {
+            y: &mut buf.y[luma..],
+            y_stride: w,
+            cb: &mut buf.cb[chroma..],
+            cr: &mut buf.cr[chroma..],
+            c_stride: cw,
         }
     }
 }
@@ -478,7 +470,12 @@ fn vld_worker_loop(data: &[u8], plan: &Plan, jobs: &Queue<VldJob>, results: &Que
 
 /// Recon worker: replays band jobs into packed band buffers until the
 /// job queue closes. Returns total busy nanoseconds.
-fn recon_worker_loop(plan: &Plan, jobs: &Queue<ReconJob>, results: &Queue<Msg>) -> u64 {
+fn recon_worker_loop(
+    plan: &Plan,
+    jobs: &Queue<ReconJob>,
+    results: &Queue<Msg>,
+    mut coverage: MbCoverage,
+) -> u64 {
     let mut scratch = MbCoeffs::default();
     let mut busy = 0u64;
     while let Some(job) = jobs.pop() {
@@ -506,7 +503,12 @@ fn recon_worker_loop(plan: &Plan, jobs: &Queue<ReconJob>, results: &Queue<Msg>) 
         };
         slice_ns.clear();
         {
-            let mut sink = BandSink { buf: &mut buf };
+            let (mb_w, mb_rows) = (buf.width / 16, buf.mb_y1 - buf.mb_y0);
+            coverage.begin(0, buf.mb_y0 as u32, mb_w as u32, mb_rows as u32);
+            let mut sink = Covered {
+                sink: BandSink { buf: &mut buf },
+                coverage: &mut coverage,
+            };
             let mut recon = Reconstructor {
                 refs: &refs,
                 sink: &mut sink,
@@ -520,6 +522,9 @@ fn recon_worker_loop(plan: &Plan, jobs: &Queue<ReconJob>, results: &Queue<Msg>) 
                 drop(replayed);
                 slice_ns.push(st.elapsed().as_nanos() as u64);
             }
+            // The buffer arrived stale: rows no slice coded read zero, the
+            // background the splice copies into the frame.
+            sink.finish();
         }
         let pixel_ns = t.elapsed().as_nanos() as u64;
         busy += pixel_ns;
@@ -1225,8 +1230,23 @@ fn run_pipeline(
         let vld_handles: Vec<_> = (0..vld_workers)
             .map(|_| s.spawn(|| vld_worker_loop(data, plan, &vld_jobs, &results)))
             .collect();
+        // Each recon worker's coverage bitmap is allocated here, before
+        // the first frame and for a whole picture of the largest kind: a
+        // worker the scheduler starts late, or hands a taller band than
+        // any before, then allocates nothing in steady state.
+        let picture_mbs = plan
+            .pictures
+            .iter()
+            .map(|p| p.seq.mb_width().saturating_mul(p.seq.mb_height()))
+            .max()
+            .unwrap_or(0);
+        let (jobs, done) = (&recon_jobs, &results);
         let recon_handles: Vec<_> = (0..recon_workers)
-            .map(|_| s.spawn(|| recon_worker_loop(plan, &recon_jobs, &results)))
+            .map(|_| {
+                let mut coverage = MbCoverage::default();
+                coverage.begin(0, 0, picture_mbs, 1);
+                s.spawn(move || recon_worker_loop(plan, jobs, done, coverage))
+            })
             .collect();
         let mut coord = Coord::new(
             plan,
@@ -1470,20 +1490,44 @@ mod tests {
     }
 
     #[test]
-    fn band_sink_places_macroblocks_in_band_coordinates() {
+    fn band_sink_lends_macroblocks_in_band_coordinates() {
         let mut buf = BandBuffer::default();
         buf.prepare(48, 2, 4); // rows 32..64 of a 48-wide picture
-        let y = [9u8; 256];
-        let cb = [7u8; 64];
-        let cr = [5u8; 64];
-        {
-            let mut sink = BandSink { buf: &mut buf };
-            sink.write_mb(1, 2, &y, &cb, &cr); // picture mb (1,2) = band-local row 0
+        for plane in [&mut buf.y, &mut buf.cb, &mut buf.cr] {
+            plane.fill(0xA5);
         }
-        assert_eq!(buf.y[16], 9); // first band row, px 16
-        assert_eq!(buf.y[0], 0);
-        assert_eq!(buf.cb[8], 7);
-        assert_eq!(buf.cr[8], 5);
+        let mut coverage = MbCoverage::default();
+        coverage.begin(0, 2, 3, 2);
+        let mut sink = Covered {
+            sink: BandSink { buf: &mut buf },
+            coverage: &mut coverage,
+        };
+        // Picture mb (1,2) = band-local row 0.
+        let dst = sink.lend(1, 2);
+        assert_eq!((dst.y_stride, dst.c_stride), (48, 24));
+        (dst.y[0], dst.cb[0], dst.cr[0]) = (9, 7, 5);
+        sink.finish();
+        assert_eq!((buf.y[16], buf.cb[8], buf.cr[8]), (9, 7, 5)); // first band row, px 16
+        assert_eq!(buf.y[17], 0xA5, "a lent macroblock keeps what was written");
+        // Every macroblock nobody lent reads zero, stale bytes or not.
+        let lent = |i: usize, w: usize, mb: usize| (i % w) / mb == 1 && i / w < mb;
+        assert!((0..buf.y.len()).all(|i| lent(i, 48, 16) || buf.y[i] == 0));
+        assert!((0..buf.cb.len()).all(|i| lent(i, 24, 8) || (buf.cb[i], buf.cr[i]) == (0, 0)));
+    }
+
+    #[test]
+    fn prepare_keeps_stale_bytes_and_zero_fills_only_growth() {
+        let mut buf = BandBuffer::default();
+        buf.reserve(48, 4);
+        buf.prepare(48, 0, 2);
+        buf.y.fill(0xA5);
+        let storage = buf.y.as_ptr();
+        buf.prepare(48, 1, 2);
+        assert_eq!(buf.y, vec![0xA5; 48 * 16]);
+        buf.prepare(48, 0, 4);
+        assert_eq!(buf.y[..48 * 16], vec![0xA5; 48 * 16]);
+        assert_eq!(buf.y[48 * 16..], vec![0; 48 * 48]);
+        assert_eq!(buf.y.as_ptr(), storage, "reserved once, never reallocated");
     }
 
     #[test]
@@ -1491,8 +1535,68 @@ mod tests {
     fn band_sink_rejects_rows_outside_its_band() {
         let mut buf = BandBuffer::default();
         buf.prepare(48, 2, 4);
-        let mut sink = BandSink { buf: &mut buf };
-        sink.write_mb(0, 0, &[0u8; 256], &[0u8; 64], &[0u8; 64]);
+        BandSink { buf: &mut buf }.lend(0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside band")]
+    fn band_sink_rejects_columns_outside_the_picture() {
+        let mut buf = BandBuffer::default();
+        buf.prepare(48, 2, 4);
+        BandSink { buf: &mut buf }.lend(3, 2);
+    }
+
+    /// Every pooled frame and band buffer scribbled to `0xA5` between two
+    /// decodes changes no output byte — of a stream that leaves rows
+    /// unwritten, so the zeroing of unlent macroblocks is what is on trial.
+    #[test]
+    fn stale_pool_buffers_do_not_show_in_the_output() {
+        use tiledec_mpeg2::encoder::{Encoder, EncoderConfig};
+        let (w, h) = (64usize, 64usize);
+        let clip: Vec<Frame> = (0..8)
+            .map(|t| {
+                let mut f = Frame::black(w, h);
+                for y in 0..h {
+                    for x in 0..w {
+                        f.y.set(x, y, (40 + (x * 3 + y * 5 + t * 11) % 180) as u8);
+                    }
+                }
+                f
+            })
+            .collect();
+        let mut cfg = EncoderConfig::for_size(w as u32, h as u32);
+        cfg.gop_size = 4;
+        cfg.b_frames = 1;
+        let clean = Encoder::new(cfg).unwrap().encode(&clip).unwrap();
+        // Drop the third slice row of every picture.
+        let index = tiledec_bitstream::StartCodeIndex::build(&clean);
+        let codes = index.codes();
+        let mut stream = Vec::new();
+        for (i, c) in codes.iter().enumerate() {
+            let end = codes.get(i + 1).map_or(clean.len(), |n| n.offset);
+            if c.code != 3 {
+                stream.extend_from_slice(&clean[c.offset..end]);
+            }
+        }
+        let reference = tiledec_mpeg2::decode_all(&stream).expect("missing slices are legal");
+        assert!(reference[0].y.row(32).iter().all(|&v| v == 0));
+
+        let mut dec = PipelineDecoder::new(2, 2);
+        assert!(dec.decode_all(&stream).unwrap() == reference);
+        assert!(!dec.stats().sequential_fallback);
+        assert!(!dec.pools.frames.is_empty() && !dec.pools.bands.is_empty());
+        for frame in dec.pools.frames.iter_mut() {
+            let f = Arc::get_mut(frame).expect("pooled frames are uniquely owned");
+            for plane in [&mut f.y, &mut f.cb, &mut f.cr] {
+                plane.fill(0xA5);
+            }
+        }
+        for band in dec.pools.bands.iter_mut() {
+            for plane in [&mut band.y, &mut band.cb, &mut band.cr] {
+                plane.fill(0xA5);
+            }
+        }
+        assert!(dec.decode_all(&stream).unwrap() == reference);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use tiledec_bitstream::BitReader;
 use tiledec_mpeg2::block::MbCoeffs;
 use tiledec_mpeg2::frame::{Frame, FramePool};
 use tiledec_mpeg2::motion::{PlanePick, RefPick, ReferenceFetcher};
-use tiledec_mpeg2::recon::{MbSink, Reconstructor};
+use tiledec_mpeg2::recon::{Covered, MbCoverage, MbDst, MbSink, Reconstructor};
 use tiledec_mpeg2::slice::{
     parse_one_macroblock, skip_motion, AddrMode, SliceContext, SliceVisitor, WalkState,
 };
@@ -76,6 +76,9 @@ pub struct TileDecoder {
     /// Recycled frame allocations (identity-transparent cache: hashes to
     /// nothing, clones empty).
     pool: FramePool,
+    /// Which macroblocks of the working frame the current sub-picture has
+    /// written (scratch, identity-transparent like the pool).
+    coverage: MbCoverage,
 }
 
 impl TileDecoder {
@@ -105,6 +108,7 @@ impl TileDecoder {
             bwd_pending: false,
             emitted: 0,
             pool: FramePool::new(),
+            coverage: MbCoverage::default(),
         }
     }
 
@@ -289,9 +293,10 @@ impl TileDecoder {
     /// [`DisplayTile`] has been consumed.
     pub fn decode(&mut self, sp: &SubPicture) -> Result<Option<DisplayTile>> {
         let kind = sp.info.kind;
-        let mut current = self
-            .pool
-            .acquire_zeroed(self.ext_rect.w as usize, self.ext_rect.h as usize);
+        let ext = self.ext_rect;
+        let mut current = self.pool.acquire_stale(ext.w as usize, ext.h as usize);
+        self.coverage
+            .begin(ext.x0 / 16, ext.y0 / 16, ext.w / 16, ext.h / 16);
         {
             let placeholder = Frame::placeholder();
             let (fwd, bwd): (&Frame, &Frame) = match kind {
@@ -316,9 +321,12 @@ impl TileDecoder {
                 bwd,
                 ext_rect: self.ext_rect,
             };
-            let mut sink = TileSink {
-                frame: &mut current,
-                ext_rect: self.ext_rect,
+            let mut sink = Covered {
+                sink: TileSink {
+                    frame: &mut current,
+                    ext_rect: ext,
+                },
+                coverage: &mut self.coverage,
             };
             let mut recon = Reconstructor {
                 refs: &refs,
@@ -332,6 +340,9 @@ impl TileDecoder {
             for run in &sp.runs {
                 decode_run(run, &ctx, &mut recon, &mut coeffs)?;
             }
+            // The frame came out of the pool stale: the halo, and rows
+            // the sub-picture did not code, read zero.
+            sink.finish();
         }
 
         // Display-order emission, mirroring the sequential decoder.
@@ -353,12 +364,16 @@ impl TileDecoder {
     /// bookkeeping advance exactly as for a decoded reference picture.
     pub fn conceal_picture(&mut self) -> Option<DisplayTile> {
         let (w, h) = (self.ext_rect.w as usize, self.ext_rect.h as usize);
-        let mut current = self.pool.acquire_zeroed(w, h);
-        if let Some(prev) = self.bwd.as_ref() {
-            current.y.blit_from(&prev.y, 0, 0, 0, 0, w, h);
-            current.cb.blit_from(&prev.cb, 0, 0, 0, 0, w / 2, h / 2);
-            current.cr.blit_from(&prev.cr, 0, 0, 0, 0, w / 2, h / 2);
-        }
+        let current = match self.bwd.as_ref() {
+            Some(prev) => self.pool.acquire_crop(prev, 0, 0, w, h),
+            None => {
+                let mut black = self.pool.acquire_stale(w, h);
+                black.y.fill(0);
+                black.cb.fill(0);
+                black.cr.fill(0);
+                black
+            }
+        };
         self.push_reference(current)
     }
 
@@ -571,7 +586,7 @@ struct TileSink<'a> {
 }
 
 impl MbSink for TileSink<'_> {
-    fn write_mb(&mut self, mb_x: u32, mb_y: u32, y: &[u8; 256], cb: &[u8; 64], cr: &[u8; 64]) {
+    fn lend(&mut self, mb_x: u32, mb_y: u32) -> MbDst<'_> {
         let px = mb_x * 16;
         let py = mb_y * 16;
         assert!(
@@ -580,9 +595,13 @@ impl MbSink for TileSink<'_> {
         );
         let lx = (px - self.ext_rect.x0) as usize;
         let ly = (py - self.ext_rect.y0) as usize;
-        self.frame.y.insert(lx, ly, 16, 16, y);
-        self.frame.cb.insert(lx / 2, ly / 2, 8, 8, cb);
-        self.frame.cr.insert(lx / 2, ly / 2, 8, 8, cr);
+        MbDst {
+            y_stride: self.frame.y.stride(),
+            c_stride: self.frame.cb.stride(),
+            y: self.frame.y.lend_mut(lx, ly, 16, 16),
+            cb: self.frame.cb.lend_mut(lx / 2, ly / 2, 8, 8),
+            cr: self.frame.cr.lend_mut(lx / 2, ly / 2, 8, 8),
+        }
     }
 }
 

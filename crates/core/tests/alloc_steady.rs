@@ -201,6 +201,115 @@ fn steady_state_decode_is_allocation_free() {
 
     pipeline_steady_state_is_allocation_free();
     sequential_allocations_do_not_grow_with_picture_count();
+    coverage_scratch_allocates_nothing_per_picture();
+}
+
+/// `stream` without the second slice row of any picture: every picture
+/// ends with macroblocks nobody wrote, which its decoder must zero.
+fn without_second_row(stream: &[u8]) -> Vec<u8> {
+    let index = tiledec_bitstream::StartCodeIndex::build(stream);
+    let codes = index.codes();
+    let mut out = Vec::with_capacity(stream.len());
+    for (i, c) in codes.iter().enumerate() {
+        let end = codes.get(i + 1).map_or(stream.len(), |n| n.offset);
+        if c.code != 2 {
+            out.extend_from_slice(&stream[c.offset..end]);
+        }
+    }
+    out
+}
+
+/// Frames and band buffers come out of their pools stale, and an
+/// `MbCoverage` bitmap beside each pool says what to zero when a picture
+/// ends. The bitmaps are scratch sized once per decoder (per worker, in the
+/// engine): on a stream that makes every picture zero a row, the sequential
+/// decoder still allocates the same for N pictures as for 2N, and tile
+/// decoders and the engine still allocate nothing in steady state.
+///
+/// Called from the single `#[test]`, like the audits above.
+fn coverage_scratch_allocates_nothing_per_picture() {
+    let encode = |w: u32, h: u32, gop: u32, b: u32, frames: usize| {
+        let mut ecfg = EncoderConfig::for_size(w, h);
+        ecfg.gop_size = gop;
+        ecfg.b_frames = b;
+        ecfg.qscale = 6;
+        let clean = Encoder::new(ecfg)
+            .unwrap()
+            .encode(&clip(w as usize, h as usize, frames))
+            .unwrap();
+        without_second_row(&clean)
+    };
+
+    // Sequential decoder.
+    let pass_allocs = |frames: usize| {
+        let stream = encode(128, 96, 6, 1, frames);
+        let mut zero_rows = 0usize;
+        let before = ALLOCS.load(Ordering::Relaxed);
+        Decoder::new()
+            .decode_stream(&stream, |f, _| {
+                zero_rows += f.y.row(16).iter().all(|&v| v == 0) as usize;
+            })
+            .expect("missing slices are legal");
+        let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+        assert_eq!(zero_rows, frames, "every picture had its cut row zeroed");
+        allocs
+    };
+    let (short, long) = (pass_allocs(12), pass_allocs(24));
+    assert_eq!(
+        long, short,
+        "sequential decode with uncovered rows: {short} allocations for 12 pictures, {long} for 24"
+    );
+
+    // The engine, on the all-I shape its audit needs (see above).
+    audit_pipeline(&encode(128, 96, 1, 0, 24), 24, 2, 2);
+
+    // Tile decoders: one warm-up GOP, then nothing.
+    let (gop, frames) = (6usize, 12usize);
+    let stream = encode(128, 64, gop as u32, 1, frames);
+    let index = split_picture_units(&stream).unwrap();
+    let cfg = SystemConfig::new(0, (2, 1));
+    let geom = cfg.geometry(index.seq.width, index.seq.height).unwrap();
+    let splitter = MacroblockSplitter::new(geom, index.seq.clone());
+    let mut decoders: Vec<TileDecoder> = geom
+        .iter_tiles()
+        .map(|t| TileDecoder::new(geom, t, index.seq.clone(), cfg.halo_margin))
+        .collect();
+    let outs: Vec<_> = index
+        .units
+        .iter()
+        .enumerate()
+        .map(|(p, &(s, e))| splitter.split(p as u32, &stream[s..e]).unwrap())
+        .collect();
+    for (p, out) in outs.iter().enumerate() {
+        let kind = out.info.kind;
+        let mut deliveries = Vec::new();
+        for (d, dec) in decoders.iter().enumerate() {
+            for (peer, blocks) in dec.extract_send_blocks(kind, &out.mei[d]).unwrap() {
+                deliveries.push((d, peer, blocks));
+            }
+        }
+        for (src, peer, blocks) in deliveries {
+            decoders[peer]
+                .apply_recv_blocks(kind, &out.mei[peer], src, &blocks)
+                .unwrap();
+        }
+        for (d, dec) in decoders.iter_mut().enumerate() {
+            let before = ALLOCS.load(Ordering::Relaxed);
+            let displayed = dec.decode(&out.subpictures[d]).unwrap();
+            let n = ALLOCS.load(Ordering::Relaxed) - before;
+            if let Some(dt) = displayed {
+                assert!(
+                    dt.frame.y.row(16).iter().all(|&v| v == 0),
+                    "picture {p} decoder {d}: the cut row reads zero"
+                );
+                dec.recycle(dt.frame);
+            }
+            assert!(
+                p < gop || n == 0,
+                "picture {p} decoder {d}: {n} heap allocations with rows to zero"
+            );
+        }
+    }
 }
 
 /// The sequential [`Decoder`] recycles its picture buffers through its

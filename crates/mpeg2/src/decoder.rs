@@ -10,7 +10,7 @@ use crate::block::MbCoeffs;
 use crate::frame::{Frame, FramePool};
 use crate::headers;
 use crate::motion::FrameRefs;
-use crate::recon::{FrameSink, Reconstructor};
+use crate::recon::{Covered, FrameSink, MbCoverage, Reconstructor};
 use crate::slice::{parse_slice, SliceContext};
 use crate::types::{PictureInfo, PictureKind, SequenceInfo};
 use crate::{Error, Result};
@@ -37,6 +37,8 @@ pub struct Decoder {
     current: Option<(PictureInfo, Frame, bool, bool)>,
     pictures: usize,
     pool: FramePool,
+    /// Which macroblocks of `current` its slices have written so far.
+    coverage: MbCoverage,
     coeffs: MbCoeffs,
 }
 
@@ -56,6 +58,7 @@ impl Decoder {
             current: None,
             pictures: 0,
             pool: FramePool::new(),
+            coverage: MbCoverage::default(),
             coeffs: MbCoeffs::default(),
         }
     }
@@ -102,10 +105,11 @@ impl Decoder {
                         .as_ref()
                         .ok_or_else(|| Error::Syntax("picture before sequence header".into()))?;
                     let info = headers::parse_picture_header(&mut r)?;
-                    let frame = self.pool.acquire_zeroed(
-                        seq.mb_width() as usize * 16,
-                        seq.mb_height() as usize * 16,
-                    );
+                    let (mbw, mbh) = (seq.mb_width(), seq.mb_height());
+                    let frame = self
+                        .pool
+                        .acquire_stale(mbw as usize * 16, mbh as usize * 16);
+                    self.coverage.begin(0, 0, mbw, mbh);
                     self.current = Some((info, frame, false, false));
                 }
                 StartCode::SEQUENCE_END => {
@@ -168,7 +172,10 @@ impl Decoder {
                 }
             };
             let refs = FrameRefs { fwd, bwd };
-            let mut sink = FrameSink { frame };
+            let mut sink = Covered {
+                sink: FrameSink { frame },
+                coverage: &mut self.coverage,
+            };
             let mut recon = Reconstructor {
                 refs: &refs,
                 sink: &mut sink,
@@ -185,12 +192,15 @@ impl Decoder {
     /// Completes the picture being decoded (if any) and emits frames that
     /// become displayable.
     fn finish_picture(&mut self, on_frame: &mut impl FnMut(&Frame, &PictureInfo)) -> Result<()> {
-        let Some((info, frame, _, any_slice)) = self.current.take() else {
+        let Some((info, mut frame, _, any_slice)) = self.current.take() else {
             return Ok(());
         };
         if !any_slice {
             return Err(Error::Syntax("picture contained no slices".into()));
         }
+        // The frame came out of the pool stale: rows no slice coded read
+        // zero, not the picture before last.
+        self.coverage.finish(&mut FrameSink { frame: &mut frame });
         self.pictures += 1;
         match info.kind {
             PictureKind::B => {
@@ -253,6 +263,64 @@ mod tests {
     fn slice_before_sequence_rejected() {
         let data = [0x00, 0x00, 0x01, 0x01, 0xFF, 0xFF];
         assert!(matches!(decode_all(&data), Err(Error::Syntax(_))));
+    }
+
+    /// A pool full of `0xA5` frames changes no output byte: what a picture
+    /// writes overwrites the garbage, what it does not write — here a slice
+    /// cut out of every picture — is zeroed when the picture ends.
+    #[test]
+    fn stale_pool_frames_do_not_show_in_the_output() {
+        use crate::encoder::{Encoder, EncoderConfig};
+        let (w, h) = (64usize, 48usize);
+        let clip: Vec<Frame> = (0..6)
+            .map(|t| {
+                let mut f = Frame::black(w, h);
+                for y in 0..h {
+                    for x in 0..w {
+                        f.y.set(x, y, (40 + (x * 3 + y * 5 + t * 11) % 180) as u8);
+                    }
+                }
+                f
+            })
+            .collect();
+        let mut cfg = EncoderConfig::for_size(w as u32, h as u32);
+        cfg.gop_size = 4;
+        cfg.b_frames = 1;
+        let clean = Encoder::new(cfg).unwrap().encode(&clip).unwrap();
+        // Drop the second slice row of every picture.
+        let codes: Vec<StartCode> = {
+            let mut scanner = StartCodeScanner::new(&clean);
+            std::iter::from_fn(|| scanner.next_code()).collect()
+        };
+        let mut stream = Vec::new();
+        for (i, c) in codes.iter().enumerate() {
+            let end = codes.get(i + 1).map_or(clean.len(), |n| n.offset);
+            if c.code != 2 {
+                stream.extend_from_slice(&clean[c.offset..end]);
+            }
+        }
+
+        let decode = |dec: &mut Decoder| {
+            let mut frames = Vec::new();
+            dec.decode_stream(&stream, |f, _| frames.push(f.clone()))
+                .expect("missing slices are legal");
+            frames
+        };
+        let fresh = decode(&mut Decoder::new());
+        assert_eq!(fresh.len(), clip.len());
+        for f in &fresh {
+            assert!(f.y.row(16).iter().all(|&v| v == 0), "the cut row is zero");
+            assert!(f.y.row(15).iter().any(|&v| v != 0), "its neighbour is not");
+        }
+        let mut stale = Decoder::new();
+        for _ in 0..4 {
+            let mut garbage = Frame::zeroed(w, h);
+            for plane in [&mut garbage.y, &mut garbage.cb, &mut garbage.cr] {
+                plane.fill(0xA5);
+            }
+            stale.pool.release(garbage);
+        }
+        assert!(decode(&mut stale) == fresh);
     }
 
     // Full round-trip coverage lives in the encoder tests and the

@@ -749,7 +749,7 @@ impl PictureEncoder<'_> {
             mb.mv,
             &mut pb,
         );
-        crate::motion::average_into(&mut pf, &pb);
+        crate::motion::average(&pb, 16, &mut pf, 16, 16);
         let bi_sad = sad_block(&self.src.y, px, py, &pf);
 
         let best = mf.sad.min(mb.sad).min(bi_sad);
@@ -844,7 +844,7 @@ impl PictureEncoder<'_> {
                 );
             } else {
                 predict(&refs, *which, PlanePick::Y, px, py, 16, *mv, &mut tmp_y);
-                crate::motion::average_into(&mut pred_y, &tmp_y);
+                crate::motion::average(&tmp_y, 16, &mut pred_y, 16, 16);
                 predict(
                     &refs,
                     *which,
@@ -855,7 +855,7 @@ impl PictureEncoder<'_> {
                     cmv,
                     &mut tmp_c,
                 );
-                crate::motion::average_into(&mut pred_cb, &tmp_c);
+                crate::motion::average(&tmp_c, 8, &mut pred_cb, 8, 8);
                 predict(
                     &refs,
                     *which,
@@ -866,7 +866,7 @@ impl PictureEncoder<'_> {
                     cmv,
                     &mut tmp_c,
                 );
-                crate::motion::average_into(&mut pred_cr, &tmp_c);
+                crate::motion::average(&tmp_c, 8, &mut pred_cr, 8, 8);
             }
         }
 

@@ -242,6 +242,8 @@ impl Plane {
 
     /// Copies a `w × h` rectangle into a caller-provided tightly packed
     /// `w`-stride buffer. A whole aligned tile extracts as one `memcpy`.
+    // Signature frozen: `benchmark/src/layers.rs` times it (as does the MEI
+    // serve path, its one caller in the decoders).
     pub fn extract_into(&self, x: usize, y: usize, w: usize, h: usize, out: &mut [u8]) {
         assert!(
             x + w <= self.width && y + h <= self.height,
@@ -275,8 +277,10 @@ impl Plane {
     }
 
     /// Writes a tightly packed `w × h` buffer into the plane at (`x`, `y`).
-    /// A whole aligned tile inserts as one `memcpy` — this is the path a
-    /// reconstructed macroblock takes into a tiled current frame.
+    /// A whole aligned tile inserts as one `memcpy`.
+    // Signature frozen: `benchmark/src/layers.rs` times it. Reconstruction
+    // no longer comes this way (it writes through `lend_mut`); received MEI
+    // blocks and display patches still do.
     pub fn insert(&mut self, x: usize, y: usize, w: usize, h: usize, pixels: &[u8]) {
         assert!(
             x + w <= self.width && y + h <= self.height,
@@ -300,6 +304,22 @@ impl Plane {
                 done += n;
             }
         }
+    }
+
+    /// Lends the `w × h` rectangle at (`x`, `y`) of a row-major plane for
+    /// writing in place: the storage from the rectangle's top-left sample
+    /// on, rows [`stride`](Plane::stride) apart — the mutable twin of
+    /// [`region_at`](Plane::region_at), and what a reconstructed
+    /// macroblock is written through. Panics on a tiled plane or a
+    /// rectangle out of bounds.
+    pub fn lend_mut(&mut self, x: usize, y: usize, w: usize, h: usize) -> &mut [u8] {
+        assert!(!self.is_tiled(), "Plane::lend_mut needs a row-major plane");
+        assert!(
+            x + w <= self.width && y + h <= self.height,
+            "rect out of bounds"
+        );
+        let start = self.index_of(x, y);
+        &mut self.data[start..]
     }
 
     /// Copies a `w × h` region at (`x0`, `y0`) into `out` (tightly packed,
@@ -478,28 +498,25 @@ impl<'a> PlaneBandMut<'a> {
         self.data[self.index_of(x, y)]
     }
 
-    /// Writes a tightly packed `w × h` buffer at plane coordinates
-    /// (`x`, `y`); the rectangle must fall inside the band.
-    pub fn insert(&mut self, x: usize, y: usize, w: usize, h: usize, pixels: &[u8]) {
+    /// Lends the `w × h` rectangle at plane coordinates (`x`, `y`) for
+    /// writing in place, like [`Plane::lend_mut`]; the rectangle must fall
+    /// inside the band.
+    pub fn lend_mut(&mut self, x: usize, y: usize, w: usize, h: usize) -> &mut [u8] {
         assert!(
             x + w <= self.width && y >= self.y0 && y + h <= self.y1,
             "rect outside band"
         );
-        assert_eq!(pixels.len(), w * h);
-        for row in 0..h {
-            let d0 = self.index_of(x, y + row);
-            self.data[d0..d0 + w].copy_from_slice(&pixels[row * w..][..w]);
-        }
+        let start = self.index_of(x, y);
+        &mut self.data[start..]
     }
 
     /// Overwrites the whole band from a tightly packed `width × (y1 - y0)`
     /// pixel buffer. The band is one contiguous segment (planes are built
-    /// with `stride == width`), so this is a single `memcpy`, dispatched
-    /// through the active kernel set's `copy_band` entry. This is the
+    /// with `stride == width`), so this is a single `memcpy`: the
     /// band-assembly path of the parallel pixel stage.
     pub fn copy_from_packed(&mut self, pixels: &[u8]) {
         assert_eq!(pixels.len(), self.width * (self.y1 - self.y0));
-        (crate::kernels::active().copy_band)(self.data, pixels);
+        self.data.copy_from_slice(pixels);
     }
 }
 
@@ -850,18 +867,16 @@ impl FramePool {
         FramePool::default()
     }
 
-    /// Returns an all-zero row-major `width × height` frame, reusing a
-    /// pooled allocation of matching dimensions when one is available.
-    pub fn acquire_zeroed(&mut self, width: usize, height: usize) -> Frame {
-        match self.acquire(width, height) {
-            Some(mut f) => {
-                f.y.fill(0);
-                f.cb.fill(0);
-                f.cr.fill(0);
-                f
-            }
-            None => Frame::zeroed(width, height),
-        }
+    /// Returns a row-major `width × height` frame whose contents are
+    /// **unspecified**: a pooled frame of matching dimensions as it was
+    /// released (its last picture, or whatever a consumer left in it), else
+    /// a fresh allocation. The caller owes every sample a value before the
+    /// frame leaves it — decoders pay with
+    /// [`MbCoverage`](crate::recon::MbCoverage), which zeroes what a
+    /// picture did not write.
+    pub fn acquire_stale(&mut self, width: usize, height: usize) -> Frame {
+        self.take(width, height)
+            .unwrap_or_else(|| Frame::zeroed(width, height))
     }
 
     /// Returns a copy of the `w × h` luma rectangle of `src` at (`x`, `y`)
@@ -869,7 +884,7 @@ impl FramePool {
     /// matches. The copy overwrites every byte of its target, so the
     /// recycled frame is not zeroed first.
     pub fn acquire_crop(&mut self, src: &Frame, x: usize, y: usize, w: usize, h: usize) -> Frame {
-        let mut f = self.acquire(w, h).unwrap_or_else(|| Frame::zeroed(w, h));
+        let mut f = self.acquire_stale(w, h);
         f.y.blit_from(&src.y, x, y, 0, 0, w, h);
         f.cb.blit_from(&src.cb, x / 2, y / 2, 0, 0, w / 2, h / 2);
         f.cr.blit_from(&src.cr, x / 2, y / 2, 0, 0, w / 2, h / 2);
@@ -877,7 +892,7 @@ impl FramePool {
     }
 
     /// Takes a pooled row-major frame of these dimensions, contents stale.
-    fn acquire(&mut self, width: usize, height: usize) -> Option<Frame> {
+    fn take(&mut self, width: usize, height: usize) -> Option<Frame> {
         let pos = self
             .free
             .iter()
@@ -1142,17 +1157,18 @@ mod tests {
     #[test]
     fn frame_pool_reuses_matching_dimensions() {
         let mut pool = FramePool::new();
-        let mut f = pool.acquire_zeroed(32, 16);
+        let mut f = pool.acquire_stale(32, 16);
+        assert_eq!(f, Frame::zeroed(32, 16), "a fresh frame is zeroed");
         f.y.set(3, 3, 77);
         pool.release(f);
         pool.release(Frame::zeroed(64, 64));
         assert_eq!(pool.len(), 2);
-        // Same dims → recycled and re-zeroed.
-        let f2 = pool.acquire_zeroed(32, 16);
-        assert_eq!(f2.y.get(3, 3), 0);
+        // Same dims → recycled as released, stale sample and all.
+        let f2 = pool.acquire_stale(32, 16);
+        assert_eq!(f2.y.get(3, 3), 77);
         assert_eq!(pool.len(), 1);
         // No match → fresh allocation, pool untouched.
-        let f3 = pool.acquire_zeroed(16, 16);
+        let f3 = pool.acquire_stale(16, 16);
         assert_eq!((f3.width(), f3.height()), (16, 16));
         assert_eq!(pool.len(), 1);
     }
@@ -1162,7 +1178,7 @@ mod tests {
         let mut pool = FramePool::new();
         pool.release(Frame::zeroed_tiled(32, 16));
         // Row-major request must not surface the tiled frame.
-        let f = pool.acquire_zeroed(32, 16);
+        let f = pool.acquire_stale(32, 16);
         assert!(!f.is_tiled());
         assert_eq!(pool.len(), 1);
     }
@@ -1208,14 +1224,21 @@ mod tests {
         assert_eq!(hash(&a), hash(&b));
     }
 
-    /// Band writes must land on exactly the same bytes as whole-plane
-    /// writes, including the packed-band assembly path.
+    /// Rows lent by a band are exactly the bytes the whole plane lends for
+    /// the same rectangle.
     #[test]
     fn row_bands_match_whole_plane_writes() {
         let (w, h) = (48usize, 64usize);
         let mut whole = Plane::new(w, h);
         let mut banded = Plane::new(w, h);
-        let patch: Vec<u8> = (0..256).map(|i| (i % 251) as u8).collect();
+        let stamp = |rows: &mut [u8], stride: usize| {
+            for y in 0..16 {
+                for x in 0..16 {
+                    rows[y * stride + x] = ((y * 16 + x) % 251) as u8 + 1;
+                }
+            }
+        };
+        let rects = [(0, 0), (16, 32), (7, 48)];
         {
             let mut bands = banded.disjoint_row_bands(&[16, 48]);
             assert_eq!(bands.len(), 3);
@@ -1223,18 +1246,18 @@ mod tests {
                 bands.iter().map(|b| (b.y0(), b.y1())).collect::<Vec<_>>(),
                 vec![(0, 16), (16, 48), (48, 64)]
             );
-            // One 16x16 insert per band, at varying alignment.
-            bands[0].insert(0, 0, 16, 16, &patch);
-            bands[1].insert(16, 32, 16, 16, &patch);
-            bands[2].insert(7, 48, 16, 16, &patch);
-            for (i, (x, y)) in [(0, 0), (16, 32), (7, 48)].into_iter().enumerate() {
-                assert_eq!(bands[i].get(x, y), patch[0]);
+            // One 16x16 rectangle per band, at varying alignment.
+            for (band, (x, y)) in bands.iter_mut().zip(rects) {
+                stamp(band.lend_mut(x, y, 16, 16), w);
+                assert_eq!(band.get(x, y), 1);
             }
         }
-        whole.insert(0, 0, 16, 16, &patch);
-        whole.insert(16, 32, 16, 16, &patch);
-        whole.insert(7, 48, 16, 16, &patch);
+        for (x, y) in rects {
+            stamp(whole.lend_mut(x, y, 16, 16), w);
+        }
         assert_eq!(whole, banded);
+        assert_eq!(whole.get(7 + 15, 48 + 15), 255 % 251 + 1);
+        assert_eq!(whole.get(7 + 16, 48 + 15), 0, "nothing right of the rect");
     }
 
     #[test]
@@ -1252,10 +1275,16 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "outside band")]
-    fn band_insert_rejects_rows_outside_the_band() {
+    fn band_lend_rejects_rows_outside_the_band() {
         let mut p = Plane::new(32, 32);
         let (mut head, _tail) = p.as_band_mut().split_at_row(16);
-        head.insert(0, 8, 16, 16, &[0u8; 256]);
+        head.lend_mut(0, 8, 16, 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn lend_rejects_rects_outside_the_plane() {
+        Plane::new(32, 32).lend_mut(24, 0, 16, 16);
     }
 
     #[test]
@@ -1278,8 +1307,8 @@ mod tests {
             vec![(0, 1), (1, 3), (3, 4)]
         );
         assert_eq!((bands[1].cb.y0(), bands[1].cb.y1()), (8, 24));
-        bands[1].y.insert(0, 16, 16, 16, &[9u8; 256]);
-        bands[1].cb.insert(0, 8, 8, 8, &[7u8; 64]);
+        bands[1].y.lend_mut(0, 16, 16, 16)[0] = 9;
+        bands[1].cb.lend_mut(0, 8, 8, 8)[0] = 7;
         drop(bands);
         assert_eq!(f.y.get(0, 16), 9);
         assert_eq!(f.cb.get(0, 8), 7);

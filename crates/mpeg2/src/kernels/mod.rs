@@ -22,13 +22,21 @@ pub mod x86;
 
 use std::sync::atomic::{AtomicPtr, Ordering};
 
+/// Signature of a strided motion-compensation kernel: reads a
+/// `size × size` block (plus a column and/or row for the half-pel forms)
+/// from rows `src_stride` apart and writes `size × size` samples into rows
+/// `dst_stride` apart, `dst[0]` being the block's top-left sample.
+pub type McKernel =
+    fn(src: &[u8], src_stride: usize, dst: &mut [u8], dst_stride: usize, size: usize);
+
 /// A complete, interchangeable set of hot decode kernels.
 ///
 /// The motion-compensation members read from a strided source (either a
-/// tightly packed fetch buffer or a borrowed plane region) and write a
-/// tightly packed `size × size` prediction block; `size` is 16 for luma
-/// and 8 for chroma. The reconstruction members operate on an 8×8 block
-/// whose top-left byte is `dst[0]`, with rows `stride` bytes apart.
+/// tightly packed fetch buffer or a borrowed plane region) and write
+/// straight into the destination rows the reconstructor was lent; `size`
+/// is 16 for luma and 8 for chroma. The reconstruction members operate on
+/// an 8×8 block whose top-left byte is `dst[0]`, with rows `stride` bytes
+/// apart.
 pub struct KernelSet {
     /// Kernel set name: `"scalar"`, `"sse2"` or `"avx2"`.
     pub name: &'static str,
@@ -41,26 +49,34 @@ pub struct KernelSet {
     /// (lanes wrap) but the call stays memory-safe.
     pub idct_in_range: fn(&mut [i32; 64]),
     /// Full-pel prediction: row-wise copy of `size × size` pixels.
-    pub mc_copy: fn(src: &[u8], src_stride: usize, dst: &mut [u8], size: usize),
+    pub mc_copy_strided: McKernel,
     /// Horizontal half-pel average: `(a + b + 1) >> 1` of each pixel and
     /// its right neighbour (reads `size + 1` columns).
-    pub mc_avg_h: fn(src: &[u8], src_stride: usize, dst: &mut [u8], size: usize),
+    pub mc_avg_h_strided: McKernel,
     /// Vertical half-pel average (reads `size + 1` rows).
-    pub mc_avg_v: fn(src: &[u8], src_stride: usize, dst: &mut [u8], size: usize),
+    pub mc_avg_v_strided: McKernel,
     /// Diagonal half-pel average: `(a + b + c + d + 2) >> 2` of the 2×2
     /// neighbourhood (reads `size + 1` rows and columns).
+    pub mc_avg_hv_strided: McKernel,
+    /// Bidirectional combine: `dst = (dst + src + 1) >> 1` over a
+    /// `size × size` block, in place in the destination rows.
+    pub average: McKernel,
+    // The four packed members below (`dst_stride == size`) stay only
+    // because the frozen `benchmark/src/layers.rs` calls `mc_copy` and
+    // `mc_avg_hv` with these signatures; they go with the next
+    // `benchmark/` PR.
+    /// [`mc_copy_strided`](Self::mc_copy_strided) into a packed block.
+    pub mc_copy: fn(src: &[u8], src_stride: usize, dst: &mut [u8], size: usize),
+    /// [`mc_avg_h_strided`](Self::mc_avg_h_strided) into a packed block.
+    pub mc_avg_h: fn(src: &[u8], src_stride: usize, dst: &mut [u8], size: usize),
+    /// [`mc_avg_v_strided`](Self::mc_avg_v_strided) into a packed block.
+    pub mc_avg_v: fn(src: &[u8], src_stride: usize, dst: &mut [u8], size: usize),
+    /// [`mc_avg_hv_strided`](Self::mc_avg_hv_strided) into a packed block.
     pub mc_avg_hv: fn(src: &[u8], src_stride: usize, dst: &mut [u8], size: usize),
-    /// Bidirectional combine: `dst = (dst + src + 1) >> 1` element-wise.
-    pub average_into: fn(dst: &mut [u8], src: &[u8]),
     /// Adds an 8×8 residual onto prediction pixels, clamping to `[0, 255]`.
     pub add_residual: fn(dst: &mut [u8], stride: usize, residual: &[i32; 64]),
     /// Stores an 8×8 intra block, clamping samples to `[0, 255]`.
     pub set_block: fn(dst: &mut [u8], stride: usize, samples: &[i32; 64]),
-    /// Bulk byte copy between equal-length slices. Used by the band
-    /// assembly path in `recon_parallel` to splice a worker's packed
-    /// row-band into the target frame: a band of rows is one contiguous
-    /// storage run, so assembly is a single call per plane band.
-    pub copy_band: fn(dst: &mut [u8], src: &[u8]),
     /// Software-prefetch hint covering `bytes` (one request per cache
     /// line). Purely advisory — a no-op on the scalar set — and never
     /// observable in output, so it is exempt from the bit-exactness
@@ -74,14 +90,17 @@ pub static SCALAR: KernelSet = KernelSet {
     name: "scalar",
     idct: crate::dct::idct_scalar,
     idct_in_range: crate::dct::idct_scalar,
+    mc_copy_strided: scalar::mc_copy_strided,
+    mc_avg_h_strided: scalar::mc_avg_h_strided,
+    mc_avg_v_strided: scalar::mc_avg_v_strided,
+    mc_avg_hv_strided: scalar::mc_avg_hv_strided,
+    average: scalar::average,
     mc_copy: scalar::mc_copy,
     mc_avg_h: scalar::mc_avg_h,
     mc_avg_v: scalar::mc_avg_v,
     mc_avg_hv: scalar::mc_avg_hv,
-    average_into: scalar::average_into,
     add_residual: scalar::add_residual,
     set_block: scalar::set_block,
-    copy_band: scalar::copy_band,
     prefetch: scalar::prefetch,
 };
 

@@ -52,7 +52,7 @@ pub trait ReferenceFetcher {
     /// directly from backing storage when it is fully interior (no edge
     /// clamping, no halo translation), returning the slice starting at the
     /// region's top-left pixel and the storage row stride. Returning
-    /// `None` (the default) makes [`predict`] fall back to a [`fetch`]
+    /// `None` (the default) makes [`predict_strided`] fall back to a [`fetch`]
     /// copy; implementations must only return regions whose pixels are
     /// identical to what `fetch` would have produced.
     ///
@@ -138,8 +138,54 @@ impl ReferenceFetcher for FrameRefs<'_> {
 
 /// Forms a motion-compensated prediction for a `size × size` block whose
 /// top-left pixel in the *current* picture is (`dst_x`, `dst_y`), using a
-/// motion vector in half-pel units. Writes the prediction into `out`
-/// (tightly packed, stride `size`).
+/// motion vector in half-pel units. Writes the prediction into `out`, rows
+/// `out_stride` apart with `out[0]` the block's top-left sample — the rows
+/// an [`MbSink`](crate::recon::MbSink) lent, or a packed scratch block
+/// with `out_stride == size`.
+#[allow(clippy::too_many_arguments)] // mirrors ReferenceFetcher::fetch
+pub fn predict_strided(
+    fetch: &impl ReferenceFetcher,
+    which: RefPick,
+    plane: PlanePick,
+    dst_x: usize,
+    dst_y: usize,
+    size: usize,
+    mv: MotionVector,
+    out: &mut [u8],
+    out_stride: usize,
+) {
+    let half_x = (mv.x & 1) as usize;
+    let half_y = (mv.y & 1) as usize;
+    // Arithmetic shift floors, which is what §7.6.4 wants.
+    let src_x = dst_x as i32 + (mv.x >> 1) as i32;
+    let src_y = dst_y as i32 + (mv.y >> 1) as i32;
+    let fw = size + half_x;
+    let fh = size + half_y;
+    let k = crate::kernels::active();
+    let kernel = match (half_x, half_y) {
+        (0, 0) => k.mc_copy_strided,
+        (1, 0) => k.mc_avg_h_strided,
+        (0, 1) => k.mc_avg_v_strided,
+        _ => k.mc_avg_hv_strided,
+    };
+    // Zero-copy fast path: interpolate straight out of the reference
+    // plane when the fetcher can lend the region.
+    if let Some((src, stride)) = fetch.region(which, plane, src_x, src_y, fw, fh) {
+        return kernel(src, stride, out, out_stride, size);
+    }
+    // Straddle/clamp gather path: footprints that cross a storage-tile
+    // boundary (or the picture edge) are gathered into this stack scratch
+    // — zero steady-state heap traffic, sized for the worst 17×17 luma
+    // half-pel footprint.
+    let mut tmp = [0u8; 17 * 17];
+    let tmp = &mut tmp[..fw * fh];
+    fetch.fetch(which, plane, src_x, src_y, fw, fh, tmp);
+    kernel(tmp, fw, out, out_stride, size)
+}
+
+/// [`predict_strided`] into a tightly packed `size × size` block.
+// Stays only because the frozen `benchmark/src/layers.rs` calls it with
+// this signature; it goes with the next `benchmark/` PR.
 #[allow(clippy::too_many_arguments)] // mirrors ReferenceFetcher::fetch
 pub fn predict(
     fetch: &impl ReferenceFetcher,
@@ -151,53 +197,15 @@ pub fn predict(
     mv: MotionVector,
     out: &mut [u8],
 ) {
-    let half_x = (mv.x & 1) as usize;
-    let half_y = (mv.y & 1) as usize;
-    // Arithmetic shift floors, which is what §7.6.4 wants.
-    let src_x = dst_x as i32 + (mv.x >> 1) as i32;
-    let src_y = dst_y as i32 + (mv.y >> 1) as i32;
-    let fw = size + half_x;
-    let fh = size + half_y;
-    let k = crate::kernels::active();
-    let out = &mut out[..size * size];
-    // Zero-copy fast path: interpolate straight out of the reference
-    // plane when the fetcher can lend the region.
-    if let Some((src, stride)) = fetch.region(which, plane, src_x, src_y, fw, fh) {
-        apply_halfpel(k, half_x, half_y, src, stride, out, size);
-        return;
-    }
-    // Straddle/clamp gather path: footprints that cross a storage-tile
-    // boundary (or the picture edge) are gathered into this stack scratch
-    // — zero steady-state heap traffic, sized for the worst 17×17 luma
-    // half-pel footprint.
-    let mut tmp = [0u8; 17 * 17];
-    let tmp = &mut tmp[..fw * fh];
-    fetch.fetch(which, plane, src_x, src_y, fw, fh, tmp);
-    apply_halfpel(k, half_x, half_y, tmp, fw, out, size);
+    predict_strided(fetch, which, plane, dst_x, dst_y, size, mv, out, size)
 }
 
-fn apply_halfpel(
-    k: &crate::kernels::KernelSet,
-    half_x: usize,
-    half_y: usize,
-    src: &[u8],
-    src_stride: usize,
-    out: &mut [u8],
-    size: usize,
-) {
-    match (half_x, half_y) {
-        (0, 0) => (k.mc_copy)(src, src_stride, out, size),
-        (1, 0) => (k.mc_avg_h)(src, src_stride, out, size),
-        (0, 1) => (k.mc_avg_v)(src, src_stride, out, size),
-        _ => (k.mc_avg_hv)(src, src_stride, out, size),
-    }
-}
-
-/// Averages a backward prediction into an existing forward prediction
-/// (§7.6.7.1: `(f + b) // 2` with rounding away from zero).
-pub fn average_into(fwd: &mut [u8], bwd: &[u8]) {
-    debug_assert_eq!(fwd.len(), bwd.len());
-    (crate::kernels::active().average_into)(fwd, bwd)
+/// Averages a backward prediction (`bwd`, rows `bwd_stride` apart) into
+/// the forward prediction already in `fwd`, a `size × size` block with
+/// rows `fwd_stride` apart (§7.6.7.1: `(f + b) // 2` with rounding away
+/// from zero).
+pub fn average(bwd: &[u8], bwd_stride: usize, fwd: &mut [u8], fwd_stride: usize, size: usize) {
+    (crate::kernels::active().average)(bwd, bwd_stride, fwd, fwd_stride, size)
 }
 
 /// The luma pixel rectangle a 16×16 prediction with vector `mv` reads,
@@ -297,10 +305,12 @@ mod tests {
 
     #[test]
     fn bidirectional_average_rounds_away_from_zero() {
-        let mut a = vec![10u8, 20, 255];
-        let b = vec![11u8, 20, 254];
-        average_into(&mut a, &b);
-        assert_eq!(a, vec![11, 20, 255]);
+        let mut a = [0u8; 64];
+        let mut b = [0u8; 64];
+        a[..3].copy_from_slice(&[10, 20, 255]);
+        b[..3].copy_from_slice(&[11, 20, 254]);
+        average(&b, 8, &mut a, 8, 8);
+        assert_eq!(a[..4], [11, 20, 255, 0]);
     }
 
     #[test]

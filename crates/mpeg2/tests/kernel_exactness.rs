@@ -353,17 +353,152 @@ fn mc_variants_match_scalar() {
 }
 
 #[test]
-fn average_into_matches_scalar() {
+fn average_matches_scalar() {
     for case in 0..CASES {
         let mut rng = Rng::new(case);
         let a = xorshift_bytes(rng.next(), 256);
         let b = xorshift_bytes(rng.next(), 256);
         for set in kernels::available() {
-            let mut expect = a.clone();
-            scalar::average_into(&mut expect, &b);
-            let mut got = a.clone();
-            (set.average_into)(&mut got, &b);
-            assert_eq!(&expect, &got, "case {case}: set={}", set.name);
+            for size in [16, 8] {
+                let mut expect = a.clone();
+                scalar::average(&b, size, &mut expect, size, size);
+                let mut got = a.clone();
+                (set.average)(&b, size, &mut got, size, size);
+                assert_eq!(&expect, &got, "case {case}: set={} size={size}", set.name);
+            }
+        }
+    }
+}
+
+/// One member of the strided family: its name, the extra source rows and
+/// columns it reads, how to pick it from a set, and what one output sample
+/// must be given the source, its stride, the sample's position and the
+/// byte the destination held before.
+type StridedMode = (
+    &'static str,
+    usize,
+    usize,
+    fn(&KernelSet) -> kernels::McKernel,
+    fn(&[u8], usize, usize, usize, u8) -> u8,
+);
+
+const STRIDED_FAMILY: [StridedMode; 5] = [
+    (
+        "copy",
+        0,
+        0,
+        |k| k.mc_copy_strided,
+        |s, ss, x, y, _| s[y * ss + x],
+    ),
+    (
+        "avg_h",
+        0,
+        1,
+        |k| k.mc_avg_h_strided,
+        |s, ss, x, y, _| {
+            let (a, b) = (s[y * ss + x] as u16, s[y * ss + x + 1] as u16);
+            ((a + b + 1) >> 1) as u8
+        },
+    ),
+    (
+        "avg_v",
+        1,
+        0,
+        |k| k.mc_avg_v_strided,
+        |s, ss, x, y, _| {
+            let (a, b) = (s[y * ss + x] as u16, s[(y + 1) * ss + x] as u16);
+            ((a + b + 1) >> 1) as u8
+        },
+    ),
+    (
+        "avg_hv",
+        1,
+        1,
+        |k| k.mc_avg_hv_strided,
+        |s, ss, x, y, _| {
+            let at = |dx: usize, dy: usize| s[(y + dy) * ss + x + dx] as u16;
+            ((at(0, 0) + at(1, 0) + at(0, 1) + at(1, 1) + 2) >> 2) as u8
+        },
+    ),
+    (
+        "average",
+        0,
+        0,
+        |k| k.average,
+        |s, ss, x, y, old| ((old as u16 + s[y * ss + x] as u16 + 1) >> 1) as u8,
+    ),
+];
+
+/// The kernels the reconstructor writes frames through: every set (scalar
+/// included) against a per-sample oracle, at both block sizes, into
+/// destinations whose rows are a packed block, one byte apart from packed,
+/// a DVD line and an HD line apart. Source and destination slices are the
+/// shortest the contract allows — top-left sample to bottom-right one —
+/// and sit inside a larger buffer of noise, so a kernel that touches one
+/// byte outside its `size × size` window, between the rows or past either
+/// end, is caught.
+#[test]
+fn strided_family_matches_the_oracle_and_stays_inside_its_window() {
+    const GUARD: usize = 64;
+    for case in 0..CASES / 4 {
+        let mut rng = Rng::new(case ^ 0x0057_A1DE);
+        for (name, extra_rows, extra_cols, pick, oracle) in STRIDED_FAMILY {
+            for size in [8usize, 16] {
+                for dst_stride in [size, size + 1, 720, 1920] {
+                    let src_stride = size + extra_cols + rng.below(4) as usize;
+                    let src_len = (size - 1 + extra_rows) * src_stride + size + extra_cols;
+                    let src = xorshift_bytes(rng.next(), src_len);
+                    let span = (size - 1) * dst_stride + size;
+                    let before = xorshift_bytes(rng.next(), GUARD + span + GUARD);
+                    for set in kernels::available() {
+                        let mut buf = before.clone();
+                        let dst = &mut buf[GUARD..GUARD + span];
+                        pick(set)(&src, src_stride, dst, dst_stride, size);
+                        for (i, (&got, &old)) in buf.iter().zip(&before).enumerate() {
+                            let at = i.wrapping_sub(GUARD);
+                            let (x, y) = (at % dst_stride, at / dst_stride);
+                            let inside = i >= GUARD && at < span && x < size;
+                            let want = if inside {
+                                oracle(&src, src_stride, x, y, old)
+                            } else {
+                                old
+                            };
+                            assert_eq!(
+                                got, want,
+                                "case {case}: set={} {name} size={size} src_stride={src_stride} \
+                                 dst_stride={dst_stride}: byte {at} of dst (inside window: {inside})",
+                                set.name
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The packed members are the strided ones at `dst_stride == size`.
+#[test]
+fn packed_members_are_the_strided_ones_at_block_stride() {
+    for case in 0..CASES / 4 {
+        let mut rng = Rng::new(case);
+        for size in [8usize, 16] {
+            let stride = size + 1 + rng.below(5) as usize;
+            let src = xorshift_bytes(rng.next(), (size + 1) * stride);
+            for set in kernels::available() {
+                for (packed, strided) in [
+                    (set.mc_copy, set.mc_copy_strided),
+                    (set.mc_avg_h, set.mc_avg_h_strided),
+                    (set.mc_avg_v, set.mc_avg_v_strided),
+                    (set.mc_avg_hv, set.mc_avg_hv_strided),
+                ] {
+                    let mut a = vec![0u8; size * size];
+                    let mut b = vec![0u8; size * size];
+                    packed(&src, stride, &mut a, size);
+                    strided(&src, stride, &mut b, size, size);
+                    assert_eq!(a, b, "case {case}: set={} size={size}", set.name);
+                }
+            }
         }
     }
 }
