@@ -23,7 +23,7 @@ use tiledec_bench::{
 use tiledec_cluster::sim::PipelineSim;
 use tiledec_cluster::CostModel;
 use tiledec_core::config::optimal_k;
-use tiledec_core::levels::measure_levels;
+use tiledec_core::levels::{measure_levels, Level};
 use tiledec_core::SystemConfig;
 use tiledec_workload::{MotionProfile, StreamPreset, PRESETS};
 
@@ -104,47 +104,6 @@ fn table1(frames: usize) {
     }
     println!("paper: coarse levels split cheaply but redistribute (mn-1)/mn of every frame;");
     println!("       macroblock level pays to split and moves almost nothing afterwards.");
-
-    // Two of the levels exist as *executed* pipelines, not just estimates.
-    println!();
-    println!("executed baselines (bit-exact with sequential decoding):");
-    {
-        let gop = tiledec_core::gop_level::run_gop_level(&s.bitstream, &geom).expect("gop level");
-        let n = gop.frames.len().max(1);
-        let mut redistribution = 0u64;
-        let tiles = geom.tiles() as usize;
-        for a in 1..=tiles {
-            for b in 1..=tiles {
-                if a != b {
-                    redistribution += gop.traffic.bytes(a, b);
-                }
-            }
-        }
-        println!(
-            "  GOP level   ({} gops): redistribution {:>9.1} KB/pic",
-            gop.gops,
-            redistribution as f64 / n as f64 / 1e3
-        );
-        let bands = geom.n as usize;
-        let sl = tiledec_core::slice_level::run_slice_level(&s.bitstream, bands, geom.m)
-            .expect("slice level");
-        let n = sl.frames.len().max(1);
-        let mut fetches = 0u64;
-        let mut redistribution = 0u64;
-        for a in 1..=bands {
-            for b in 1..=bands {
-                if a != b {
-                    fetches += sl.traffic.bytes(a, b);
-                }
-            }
-            redistribution += sl.traffic.bytes(a, 0);
-        }
-        println!(
-            "  slice level ({bands} bands): demand fetches {:>7.1} KB/pic, redistribution {:>9.1} KB/pic",
-            fetches as f64 / n as f64 / 1e3,
-            redistribution as f64 / n as f64 / 1e3
-        );
-    }
 }
 
 // --- Table 4: stream characteristics ---------------------------------------
@@ -559,51 +518,18 @@ fn ablations(frames: usize) {
     println!("  on-demand fetching: {fps_demand:>6.1} fps");
 
     println!();
-    println!("SPH byte-copy vs bit-realignment (the design §4.3 chose, quantified):");
-    {
-        use std::time::Instant;
-        use tiledec_core::splitter::{split_picture_units, MacroblockSplitter};
-        let index = split_picture_units(&hd.bitstream).expect("index");
-        let geom = SystemConfig::new(1, (4, 4))
-            .geometry(hd.preset.width, hd.preset.height)
-            .expect("geometry");
-        let byte_copy = MacroblockSplitter::new(geom, index.seq.clone());
-        let realigned = MacroblockSplitter::new(geom, index.seq.clone()).with_bit_realignment();
-        let time = |sp: &MacroblockSplitter| {
-            let t0 = Instant::now();
-            for (p, &(s, e)) in index.units.iter().enumerate() {
-                std::hint::black_box(sp.split(p as u32, &hd.bitstream[s..e]).unwrap());
-            }
-            t0.elapsed().as_secs_f64() / index.units.len() as f64
-        };
-        let a = time(&byte_copy).min(time(&byte_copy));
-        let b = time(&realigned).min(time(&realigned));
-        println!("  byte-copy    : {:.2} ms/picture", a * 1e3);
-        println!(
-            "  bit-realign  : {:.2} ms/picture ({:+.0}%)",
-            b * 1e3,
-            100.0 * (b - a) / a
-        );
-    }
-
-    println!();
-    println!("GOP-level baseline (executed, 2x2 wall, 720p-class):");
+    println!("GOP-level baseline (2x2 wall, 720p-class):");
     {
         let geom = SystemConfig::new(1, (2, 2))
             .geometry(hd.preset.width, hd.preset.height)
             .expect("geometry");
-        let out =
-            tiledec_core::gop_level::run_gop_level(&hd.bitstream, &geom).expect("gop baseline");
-        let d = 4;
-        let mut redistribution = 0u64;
-        for a in 1..=d {
-            for b in 1..=d {
-                if a != b {
-                    redistribution += out.traffic.bytes(a, b);
-                }
-            }
-        }
+        let gop = measure_levels(&hd.bitstream, &geom)
+            .expect("measure levels")
+            .into_iter()
+            .find(|r| r.level == Level::Gop)
+            .expect("GOP row");
         let mb = run_config(&hd, SystemConfig::new(1, (2, 2)), model);
+        let d = 4;
         let mut mei = 0u64;
         let dec0 = 2; // root + 1 splitter
         for a in 0..d {
@@ -615,7 +541,7 @@ fn ablations(frames: usize) {
         }
         println!(
             "  pixel redistribution: {:.1} KB/pic   (macroblock-level MEI: {:.1} KB/pic)",
-            redistribution as f64 / out.frames.len() as f64 / 1e3,
+            gop.redistribution_bytes_per_picture / 1e3,
             mei as f64 / mb.pictures as f64 / 1e3,
         );
     }

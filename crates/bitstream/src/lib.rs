@@ -16,10 +16,10 @@
 //!
 //! The hot entry points are cache-accelerated: [`BitReader`] serves reads
 //! from a 64-bit shift register refilled 8 bytes at a time, and
-//! [`find_start_code`] skips zero-free words with a SWAR filter. The
-//! byte-wise scan survives as the differential oracle
-//! [`find_start_code_bytewise`]; the per-byte reader is test code. Entropy
-//! decoders hold the reader's cache in locals through a [`BitWindow`].
+//! [`find_start_code`] skips zero-free words with a SWAR filter and finishes
+//! the last few bytes with a byte-wise scan; the per-byte reader and the
+//! naive start-code search are test code. Entropy decoders hold the
+//! reader's cache in locals through a [`BitWindow`].
 
 #![warn(missing_docs)]
 
@@ -30,9 +30,7 @@ mod writer;
 
 pub use fault::{Fault, FaultPlan, FaultRng};
 pub use reader::{BitReader, BitWindow, BitstreamError};
-pub use scanner::{
-    find_start_code, find_start_code_bytewise, StartCode, StartCodeIndex, StartCodeScanner,
-};
+pub use scanner::{find_start_code, StartCode, StartCodeIndex, StartCodeScanner};
 pub use writer::BitWriter;
 
 /// Result alias for bitstream operations.

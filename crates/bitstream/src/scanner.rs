@@ -92,9 +92,7 @@ fn zero_byte_mask(w: u64) -> u64 {
 /// where zero bytes are rare. Words containing a zero fall back to a short
 /// scalar check starting at the first zero lane; the word loop only runs
 /// while a full pattern lookahead is in bounds, and the last few bytes are
-/// finished by the byte-wise reference scan. The pre-SWAR implementation is
-/// kept as [`find_start_code_bytewise`], the oracle for the property tests
-/// and the baseline for the scanner micro-bench.
+/// finished by the byte-wise `scan_tail`.
 pub fn find_start_code(data: &[u8], from: usize) -> Option<StartCode> {
     let len = data.len();
     let mut i = from;
@@ -125,17 +123,15 @@ pub fn find_start_code(data: &[u8], from: usize) -> Option<StartCode> {
         }
         i = word_end;
     }
-    find_start_code_bytewise(data, i)
+    scan_tail(data, i)
 }
 
-/// Byte-wise reference start-code search (the pre-SWAR implementation).
+/// Byte-wise start-code search: the tail of [`find_start_code`], for the
+/// bytes the word loop cannot cover.
 ///
-/// Skips ahead two bytes at a time on non-zero bytes, the classic
-/// start-code-search trick: if `data[i+2] != 0` no code can start at `i` or
-/// `i+1`. Kept as the tail path of [`find_start_code`], the differential
-/// oracle for the scanner property tests, and the baseline the scanner
-/// micro-bench compares the SWAR sweep against.
-pub fn find_start_code_bytewise(data: &[u8], from: usize) -> Option<StartCode> {
+/// Skips ahead on non-zero bytes, the classic start-code-search trick: if
+/// `data[i+2] > 1` no code can start at `i`, `i+1` or `i+2`.
+fn scan_tail(data: &[u8], from: usize) -> Option<StartCode> {
     let mut i = from;
     while i + 4 <= data.len() {
         let w = &data[i..i + 4];

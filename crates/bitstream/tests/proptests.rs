@@ -4,10 +4,8 @@
 
 mod support;
 
-use support::SlowBitReader;
-use tiledec_bitstream::{
-    find_start_code, find_start_code_bytewise, BitReader, BitWriter, StartCode,
-};
+use support::{naive_find_start_code, SlowBitReader};
+use tiledec_bitstream::{find_start_code, BitReader, BitWriter};
 
 struct Rng(u64);
 
@@ -34,16 +32,6 @@ impl Rng {
 }
 
 const CASES: u64 = 256;
-
-/// Naive start-code search used as the oracle.
-fn naive_find(data: &[u8], from: usize) -> Option<StartCode> {
-    (from..data.len().saturating_sub(3)).find_map(|i| {
-        (data[i] == 0 && data[i + 1] == 0 && data[i + 2] == 1).then(|| StartCode {
-            offset: i,
-            code: data[i + 3],
-        })
-    })
-}
 
 /// A field is (value, width) with value < 2^width.
 fn random_field(rng: &mut Rng) -> (u32, u32) {
@@ -104,7 +92,7 @@ fn scanner_matches_naive() {
         let from = rng.below(64) as usize;
         assert_eq!(
             find_start_code(&data, from),
-            naive_find(&data, from),
+            naive_find_start_code(&data, from),
             "case {case}"
         );
     }
@@ -217,11 +205,11 @@ fn cached_reader_matches_reference() {
     }
 }
 
-/// The SWAR sweep must agree with the byte-wise reference on long, sparse
+/// The SWAR sweep must agree with the naive search on long, sparse
 /// buffers — the regime where the zero-free-word skip actually fires — at
 /// every successive match position, not just the first.
 #[test]
-fn swar_scanner_matches_bytewise_on_sparse_buffers() {
+fn swar_scanner_matches_naive_on_sparse_buffers() {
     for case in 0..CASES {
         let mut rng = Rng::new(case ^ 0x5CA2);
         let len = rng.below(2048) as usize;
@@ -235,7 +223,7 @@ fn swar_scanner_matches_bytewise_on_sparse_buffers() {
         let mut from = 0;
         loop {
             let a = find_start_code(&data, from);
-            let b = find_start_code_bytewise(&data, from);
+            let b = naive_find_start_code(&data, from);
             assert_eq!(a, b, "case {case} from {from}");
             match a {
                 Some(sc) => from = sc.offset + 1,

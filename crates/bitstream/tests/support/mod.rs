@@ -4,8 +4,24 @@
 //! positions and error positions. One piece of dead code was removed rather
 //! than preserved: the old `read_bits` had `take == 32` arms that were
 //! unreachable (a single byte never yields more than 8 bits per iteration).
+//!
+//! [`naive_find_start_code`] is the scanner's oracle: a plain `windows(4)`
+//! search that shares no code with `find_start_code`.
 
-use tiledec_bitstream::{BitstreamError, Result};
+use tiledec_bitstream::{BitstreamError, Result, StartCode};
+
+/// The first `00 00 01 xx` pattern at or after `from`, by testing every
+/// four-byte window in turn.
+pub fn naive_find_start_code(data: &[u8], from: usize) -> Option<StartCode> {
+    data.get(from..)?
+        .windows(4)
+        .enumerate()
+        .find(|(_, w)| w[..3] == [0, 0, 1])
+        .map(|(i, w)| StartCode {
+            offset: from + i,
+            code: w[3],
+        })
+}
 
 /// MSB-first per-byte bit reader: the pre-cache reference implementation.
 #[derive(Clone, Debug)]

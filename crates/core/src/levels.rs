@@ -8,15 +8,17 @@
 //! exactly what Table 1 tabulates: how expensive splitting is, and how
 //! many bytes have to move between nodes afterwards.
 
+use std::collections::HashSet;
 use std::time::Instant;
 
 use tiledec_bitstream::StartCodeScanner;
 use tiledec_mpeg2::parser::parse_picture;
 use tiledec_mpeg2::slice::MbMotion;
-use tiledec_mpeg2::types::PictureKind;
+use tiledec_mpeg2::types::{MotionVector, PictureKind};
 use tiledec_wall::WallGeometry;
 
-use crate::splitter::{split_picture_units, MacroblockSplitter};
+use crate::mei::RefSlot;
+use crate::splitter::{footprint_mbs, split_picture_units, MacroblockSplitter};
 use crate::Result;
 
 /// Parallelisation granularity.
@@ -111,12 +113,14 @@ pub fn measure_levels(stream: &[u8], geom: &WallGeometry) -> Result<Vec<LevelCos
     // peer, every B picture two (the paper's worst-case statement; actual
     // transfers would be demand-paged but bounded by this).
     let mut picture_level_fetch = 0f64;
-    // Slice level: decoders own horizontal bands; count macroblocks whose
-    // motion footprint leaves the band.
-    let bands = geom.n.max(1);
-    let mbh = seq.mb_height();
-    let band_rows = mbh.div_ceil(bands);
-    let mut slice_level_blocks = 0f64;
+    // Slice level: decoders own horizontal bands of macroblock rows. Count
+    // by the splitter's MEI rule, so this column and the macroblock one are
+    // in the same unit: each macroblock of a padded motion footprint
+    // (`footprint_mbs`) outside the reading band, once per band, reference
+    // and picture.
+    let band_rows = seq.mb_height().div_ceil(geom.n.max(1));
+    let mut band_needs: HashSet<(u32, u32, u32, RefSlot)> = HashSet::new();
+    let mut slice_level_blocks = 0usize;
     for &(start, end) in &index.units {
         let parsed = parse_picture(&stream[start..end], seq)?;
         match parsed.info.kind {
@@ -124,41 +128,38 @@ pub fn measure_levels(stream: &[u8], geom: &WallGeometry) -> Result<Vec<LevelCos
             PictureKind::B => picture_level_fetch += 2.0 * frame_bytes,
             PictureKind::I => {}
         }
-        for slice in &parsed.slices {
-            let band = slice.row / band_rows;
-            let band_lo = band * band_rows;
-            let band_hi = ((band + 1) * band_rows).min(mbh);
-            let mut count_motion = |mb_x: u32, mb_y: u32, motion: &MbMotion| {
-                let vecs: &[tiledec_mpeg2::types::MotionVector] = match motion {
-                    MbMotion::Intra => &[],
-                    MbMotion::Forward(f) => &[*f],
-                    MbMotion::Backward(b) => &[*b],
-                    MbMotion::Bi(f, b) => &[*f, *b],
-                };
-                for mv in vecs {
-                    let (_, y0, _, h) = tiledec_mpeg2::motion::luma_footprint(mb_x, mb_y, *mv);
-                    let row_lo = (y0.max(0) as u32) / 16;
-                    let row_hi = ((y0 + h as i32).max(1) as u32).div_ceil(16).min(mbh);
-                    for r in row_lo..row_hi {
-                        if r < band_lo || r >= band_hi {
-                            slice_level_blocks += 1.0;
-                        }
+        band_needs.clear();
+        let mut visit = |mb_x: u32, mb_y: u32, motion: &MbMotion| {
+            let band = mb_y / band_rows;
+            let vecs: &[(RefSlot, MotionVector)] = match motion {
+                MbMotion::Intra => &[],
+                MbMotion::Forward(f) => &[(RefSlot::Forward, *f)],
+                MbMotion::Backward(b) => &[(RefSlot::Backward, *b)],
+                MbMotion::Bi(f, b) => &[(RefSlot::Forward, *f), (RefSlot::Backward, *b)],
+            };
+            for &(slot, mv) in vecs {
+                for (rx, ry) in footprint_mbs(mb_x, mb_y, mv, geom) {
+                    if ry / band_rows != band {
+                        band_needs.insert((band, rx, ry, slot));
                     }
                 }
-            };
-            for mb in &slice.mbs {
-                count_motion(mb.x, mb.y, &mb.motion);
             }
-            let mbw = seq.mb_width();
+        };
+        let mbw = seq.mb_width();
+        for slice in &parsed.slices {
+            for mb in &slice.mbs {
+                visit(mb.x, mb.y, &mb.motion);
+            }
             for sk in &slice.skips {
                 for addr in sk.start_addr..sk.start_addr + sk.count {
-                    count_motion(addr % mbw, addr / mbw, &sk.motion);
+                    visit(addr % mbw, addr / mbw, &sk.motion);
                 }
             }
         }
+        slice_level_blocks += band_needs.len();
     }
     let slice_fetch_per_picture =
-        slice_level_blocks * crate::mei::BLOCK_WIRE_BYTES as f64 / n_pics as f64;
+        (slice_level_blocks * crate::mei::BLOCK_WIRE_BYTES) as f64 / n_pics as f64;
 
     // --- Pixel redistribution ----------------------------------------------
     // Coarse levels decode whole pictures on one node but display 1/(m·n)
@@ -213,6 +214,7 @@ mod tests {
         assert_eq!(Level::ALL[4].name(), "Macroblock");
     }
 
-    // measure_levels is exercised end-to-end in tests/parallel.rs and the
-    // table1 bench binary with encoder-produced streams.
+    // measure_levels is exercised end to end by
+    // `table1_levels_price_the_baselines` in tests/parallel.rs and by the
+    // `paper table1` bench binary, on encoder-produced streams.
 }

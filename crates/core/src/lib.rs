@@ -28,14 +28,12 @@
 
 pub mod config;
 mod display;
-pub mod gop_level;
 pub mod levels;
 pub mod machines;
 pub mod mei;
 pub mod protocol;
 pub mod recon_parallel;
 pub mod simulated;
-pub mod slice_level;
 pub mod splitter;
 pub mod subpicture;
 pub mod threaded;
@@ -48,7 +46,6 @@ use std::fmt;
 pub use config::SystemConfig;
 pub use recon_parallel::{PipelineDecoder, PipelineStats};
 pub use simulated::SimulatedSystem;
-pub use slice_level::{run_slice_level, run_slice_level_resilient, SliceLevelResult};
 pub use splitter::{split_picture_units, MacroblockSplitter, SplitOutput};
 pub use threaded::{PlaybackResult, ThreadedSystem};
 pub use tile_decoder::TileDecoder;

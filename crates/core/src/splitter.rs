@@ -114,10 +114,6 @@ pub struct MacroblockSplitter {
     /// Per tile: inclusive macroblock column/row intervals.
     tile_cols: Vec<(u32, u32)>,
     tile_rows: Vec<(u32, u32)>,
-    /// Re-align partial slices to bit offset 0 instead of byte-copying.
-    /// The paper rejects this as "costly bit shifting" (§4.3); it exists
-    /// here as a measurable ablation.
-    realign: bool,
 }
 
 impl MacroblockSplitter {
@@ -142,18 +138,7 @@ impl MacroblockSplitter {
             seq,
             tile_cols,
             tile_rows,
-            realign: false,
         }
-    }
-
-    /// Enables bit-realignment of partial slices: every run's payload is
-    /// re-emitted bit by bit so it starts on a byte boundary
-    /// (`skip_bits = 0`). This is the design the paper *avoided*; use it
-    /// only to measure why (see the `sph_realign` micro-bench and the
-    /// ablations experiment).
-    pub fn with_bit_realignment(mut self) -> Self {
-        self.realign = true;
-        self
     }
 
     /// The wall geometry.
@@ -190,7 +175,7 @@ impl MacroblockSplitter {
                 if slice.row < r0 || slice.row > r1 {
                     continue;
                 }
-                if let Some(run) = self.build_run(slice, tile, unit)? {
+                if let Some(run) = self.build_run(slice, tile, unit) {
                     subpictures[tile].runs.push(run);
                 }
             }
@@ -215,12 +200,7 @@ impl MacroblockSplitter {
 
     /// Builds the (at most one) partial-slice run of `tile` within a
     /// slice.
-    fn build_run(
-        &self,
-        slice: &ParsedSlice,
-        tile: usize,
-        unit: &[u8],
-    ) -> Result<Option<PartialSlice>> {
+    fn build_run(&self, slice: &ParsedSlice, tile: usize, unit: &[u8]) -> Option<PartialSlice> {
         let (c0, c1) = self.tile_cols[tile];
 
         // Coded macroblocks inside the tile's column interval form a
@@ -274,24 +254,16 @@ impl MacroblockSplitter {
         }
 
         if coded.is_empty() && skipped_before == 0 {
-            return Ok(None);
+            return None;
         }
 
         let (payload, skip_bits, entry, first_coded_col, coded_count) =
             if let (Some(first_mb), Some(last_mb)) = (coded.first(), coded.last()) {
-                let (payload, skip_bits) = if self.realign {
-                    (
-                        realign_bits(unit, first_mb.bit_start, last_mb.bit_end)?,
-                        0u8,
-                    )
-                } else {
-                    let byte0 = first_mb.bit_start / 8;
-                    let byte1 = last_mb.bit_end.div_ceil(8);
-                    (unit[byte0..byte1].to_vec(), (first_mb.bit_start % 8) as u8)
-                };
+                let byte0 = first_mb.bit_start / 8;
+                let byte1 = last_mb.bit_end.div_ceil(8);
                 (
-                    payload,
-                    skip_bits,
+                    unit[byte0..byte1].to_vec(),
+                    (first_mb.bit_start % 8) as u8,
                     first_mb.entry.clone(),
                     first_mb.x as u16,
                     coded.len() as u16,
@@ -306,7 +278,7 @@ impl MacroblockSplitter {
                 )
             };
 
-        Ok(Some(PartialSlice {
+        Some(PartialSlice {
             row: slice.row as u16,
             skipped_before,
             skip_start_col,
@@ -317,7 +289,7 @@ impl MacroblockSplitter {
             skip_bits,
             entry,
             payload,
-        }))
+        })
     }
 
     /// Computes the remote reference needs of every tile for one slice.
@@ -373,34 +345,15 @@ impl MacroblockSplitter {
     }
 }
 
-/// Re-emits the bit range `[bit_start, bit_end)` of `unit` shifted to bit
-/// offset 0 — the "costly bit shifting" the SPH design avoids. Fails if
-/// the span runs past the unit (a malformed slice index).
-fn realign_bits(unit: &[u8], bit_start: usize, bit_end: usize) -> Result<Vec<u8>> {
-    use tiledec_bitstream::{BitReader, BitWriter};
-    let mut r = BitReader::at(unit, bit_start);
-    let mut w = BitWriter::with_capacity((bit_end - bit_start) / 8 + 1);
-    let mut remaining = bit_end - bit_start;
-    let span_err = |e: tiledec_bitstream::BitstreamError| {
-        CoreError::Wire(format!("slice span out of unit: {e}"))
-    };
-    while remaining >= 32 {
-        w.put_bits(r.read_bits(32).map_err(span_err)?, 32);
-        remaining -= 32;
-    }
-    if remaining > 0 {
-        w.put_bits(
-            r.read_bits(remaining as u32).map_err(span_err)?,
-            remaining as u32,
-        );
-    }
-    Ok(w.into_bytes())
-}
-
 /// The macroblock-aligned cover of the reference region a 16×16 prediction
 /// with vector `mv` reads, padded by 2 pixels to cover the chroma
 /// footprint and half-pel extension.
-fn footprint_mbs(mb_x: u32, mb_y: u32, mv: MotionVector, geom: &WallGeometry) -> Vec<(u32, u32)> {
+pub(crate) fn footprint_mbs(
+    mb_x: u32,
+    mb_y: u32,
+    mv: MotionVector,
+    geom: &WallGeometry,
+) -> Vec<(u32, u32)> {
     let (x0, y0, w, h) = tiledec_mpeg2::motion::luma_footprint(mb_x, mb_y, mv);
     let (mbw, mbh) = geom.mb_dims();
     let x_lo = (x0 - 2).max(0) as u32 / 16;

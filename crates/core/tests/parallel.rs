@@ -263,73 +263,6 @@ fn alternate_scan_and_nonlinear_quant_through_the_pipeline() {
 }
 
 #[test]
-fn bit_realigned_subpictures_decode_identically() {
-    // The §4.3 ablation: re-aligning partial slices to byte boundaries
-    // must be semantically identical to byte-copying (just slower to
-    // produce). Run the realigned splitter through tile decoders directly.
-    use tiledec_core::splitter::MacroblockSplitter;
-    use tiledec_core::TileDecoder;
-
-    let stream = encode_clip(128, 96, 7, 7, 2, 5);
-    let reference = decode_all(&stream).unwrap();
-    let index = tiledec_core::split_picture_units(&stream).unwrap();
-    let cfg = SystemConfig::new(1, (2, 2));
-    let geom = cfg.geometry(128, 96).unwrap();
-    let splitter = MacroblockSplitter::new(geom, index.seq.clone()).with_bit_realignment();
-
-    let mut decoders: Vec<TileDecoder> = geom
-        .iter_tiles()
-        .map(|t| TileDecoder::new(geom, t, index.seq.clone(), 64))
-        .collect();
-    let mut walls: std::collections::HashMap<u32, tiledec_wall::Wall> = Default::default();
-    let place = |d: usize,
-                 dt: tiledec_core::tile_decoder::DisplayTile,
-                 walls: &mut std::collections::HashMap<u32, tiledec_wall::Wall>| {
-        walls
-            .entry(dt.display_index)
-            .or_insert_with(|| tiledec_wall::Wall::new(geom))
-            .set_tile(geom.tile_at(d), dt.frame)
-            .unwrap();
-    };
-    for (p, &(s, e)) in index.units.iter().enumerate() {
-        let out = splitter.split(p as u32, &stream[s..e]).unwrap();
-        // Every realigned run starts at bit 0.
-        for sp in &out.subpictures {
-            for run in &sp.runs {
-                assert_eq!(run.skip_bits, 0, "realigned runs must be byte aligned");
-            }
-        }
-        let kind = out.info.kind;
-        let mut deliveries = Vec::new();
-        for (d, dec) in decoders.iter().enumerate() {
-            for (peer, blocks) in dec.extract_send_blocks(kind, &out.mei[d]).unwrap() {
-                deliveries.push((d, peer, blocks));
-            }
-        }
-        for (src, peer, blocks) in deliveries {
-            decoders[peer]
-                .apply_recv_blocks(kind, &out.mei[peer], src, &blocks)
-                .unwrap();
-        }
-        for (d, dec) in decoders.iter_mut().enumerate() {
-            if let Some(dt) = dec.decode(&out.subpictures[d]).unwrap() {
-                place(d, dt, &mut walls);
-            }
-        }
-    }
-    for (d, dec) in decoders.iter_mut().enumerate() {
-        if let Some(dt) = dec.flush() {
-            place(d, dt, &mut walls);
-        }
-    }
-    for (i, frame) in reference.iter().enumerate() {
-        let wall = walls.remove(&(i as u32)).unwrap();
-        let got = wall.assemble(true).unwrap();
-        assert!(&got == frame, "frame {i} differs under bit realignment");
-    }
-}
-
-#[test]
 fn display_tiles_are_the_sequential_crops_through_a_concealed_picture() {
     // A tile is cropped out of its reference frame only when it becomes
     // displayable — after peers have written that frame's halo for later
@@ -416,73 +349,79 @@ fn display_tiles_are_the_sequential_crops_through_a_concealed_picture() {
     assert_eq!(shown, vec![expected.len(); 4]);
 }
 
+/// Table 1's coarse rows, on streams small enough to reason about: the GOP
+/// level redistributes (mn−1)/mn of every frame, several times what the
+/// macroblock level moves between decoders, and the slice level fetches
+/// across band boundaries but moves no pixels when one column displays it.
 #[test]
-fn gop_level_baseline_is_correct_but_redistributes_heavily() {
-    use tiledec_core::gop_level::run_gop_level;
-    // Three GOPs of four pictures each. The frame must be large enough
+fn table1_levels_price_the_baselines() {
+    use tiledec_core::levels::{measure_levels, Level, LevelCosts};
+    let row = |rows: &[LevelCosts], level| rows.iter().find(|r| r.level == level).unwrap().clone();
+
+    // Three closed GOPs of four pictures. The frame must be large enough
     // that tiles have interior: MEI traffic scales with tile *perimeter*
     // while redistribution scales with tile *area*, so the macroblock
     // system's advantage grows with resolution (tiny frames are nearly
     // all boundary).
     let stream = encode_clip(384, 256, 12, 4, 1, 6);
-    let reference = decode_all(&stream).unwrap();
     let geom = SystemConfig::new(1, (2, 2)).geometry(384, 256).unwrap();
-    let out = run_gop_level(&stream, &geom).unwrap();
-    assert_eq!(out.gops, 3);
-    assert_bit_exact(&out.frames, &reference, "GOP-level baseline");
-
-    // The defining cost: (mn-1)/mn of every frame's pixels move between
-    // nodes — compare against what the macroblock-level system moved.
+    let rows = measure_levels(&stream, &geom).unwrap();
+    assert_eq!(rows.iter().map(|r| r.level).collect::<Vec<_>>(), Level::ALL);
+    let gop = row(&rows, Level::Gop);
     let frame_bytes = 384 * 256 * 3 / 2;
-    let expected_redistribution = frame_bytes as u64 * 3 / 4 * reference.len() as u64;
-    let mut dd = 0u64;
-    for a in 1..5 {
-        for b in 1..5 {
-            if a != b {
-                dd += out.traffic.bytes(a, b);
-            }
-        }
-    }
-    assert_eq!(dd, expected_redistribution);
+    assert_eq!(
+        gop.redistribution_bytes_per_picture,
+        (frame_bytes * 3 / 4) as f64
+    );
+    assert_eq!(gop.inter_decoder_bytes_per_picture, 0.0);
 
+    let reference = decode_all(&stream).unwrap();
     let mb_system = ThreadedSystem::new(SystemConfig::new(1, (2, 2)))
         .play(&stream)
         .unwrap();
+    assert_bit_exact(&mb_system.frames, &reference, "1-1-(2,2)");
     let mb_dd: u64 = (2..6)
         .flat_map(|a| (2..6).map(move |b| (a, b)))
         .filter(|(a, b)| a != b)
         .map(|(a, b)| mb_system.traffic[a][b])
         .sum();
+    let gop_total = gop.redistribution_bytes_per_picture * reference.len() as f64;
     assert!(
-        mb_dd * 3 < dd,
+        ((mb_dd * 3) as f64) < gop_total,
         "macroblock-level inter-decoder traffic ({mb_dd} B) should be far below \
-         GOP-level redistribution ({dd} B)"
+         GOP-level redistribution ({gop_total} B)"
     );
-}
+    let mb = row(&rows, Level::Macroblock);
+    assert!(
+        mb.inter_decoder_bytes_per_picture * 3.0 < gop.redistribution_bytes_per_picture,
+        "macroblock row's MEI bytes ({}) should be far below the GOP row's \
+         redistribution ({})",
+        mb.inter_decoder_bytes_per_picture,
+        gop.redistribution_bytes_per_picture
+    );
 
-#[test]
-fn slice_level_baseline_is_correct_with_demand_fetch_traffic() {
-    use tiledec_core::slice_level::run_slice_level;
+    // Slice level: one band per wall row, displayed by the wall's columns.
     let stream = encode_clip(192, 128, 8, 8, 2, 6);
-    let reference = decode_all(&stream).unwrap();
-    // Two horizontal bands on a 2-column wall.
-    let out = run_slice_level(&stream, 2, 2).unwrap();
-    assert_eq!(out.bands, 2);
-    assert_bit_exact(&out.frames, &reference, "slice-level baseline");
-
-    // Motion crosses the band boundary, so demand-fetch traffic between
-    // the two band decoders must exist in both directions.
-    assert!(out.traffic.bytes(1, 2) > 0, "band 0 should serve band 1");
-    assert!(out.traffic.bytes(2, 1) > 0, "band 1 should serve band 0");
-    // And every band pays display redistribution (charged toward node 0).
-    assert!(out.traffic.bytes(1, 0) > 0);
-    assert!(out.traffic.bytes(2, 0) > 0);
-
-    // Single band degenerates to sequential decoding: no remote fetches.
-    let solo = run_slice_level(&stream, 1, 1).unwrap();
-    assert_bit_exact(&solo.frames, &reference, "1-band slice level");
-    assert_eq!(solo.traffic.bytes(1, 1), 0);
-    assert_eq!(solo.traffic.bytes(1, 0), 0, "m=1 display moves nothing");
+    let slice_row = |m, n| {
+        let geom = SystemConfig::new(1, (m, n)).geometry(192, 128).unwrap();
+        row(&measure_levels(&stream, &geom).unwrap(), Level::Slice)
+    };
+    let two_bands = slice_row(2, 2);
+    assert!(
+        two_bands.inter_decoder_bytes_per_picture > 0.0,
+        "motion crosses the band boundary"
+    );
+    assert!(two_bands.redistribution_bytes_per_picture > 0.0);
+    assert_eq!(
+        slice_row(2, 1).inter_decoder_bytes_per_picture,
+        0.0,
+        "one band fetches nothing"
+    );
+    assert_eq!(
+        slice_row(1, 2).redistribution_bytes_per_picture,
+        0.0,
+        "m = 1 displays what each band decodes"
+    );
 }
 
 /// A tile decoder re-enters a slice mid-stream: `skip_bits` into a

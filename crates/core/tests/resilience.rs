@@ -1,9 +1,9 @@
 //! Chaos suite for [`ErrorPolicy::Resilient`]: seeded fault plans applied
 //! to valid streams, decoded through every back-end — sequential, the
-//! node-local engine at several VLD worker counts, the slice-level
-//! baseline and the threaded 2×2 tiled system — asserting termination, full-geometry
-//! frames, cross-back-end bit-exactness and deterministic
-//! [`StreamDamage`] ledgers. A damaged stream either decodes identically
+//! node-local engine at several VLD worker counts and the threaded 2×2
+//! tiled system — asserting termination, full-geometry frames,
+//! cross-back-end bit-exactness and deterministic [`StreamDamage`]
+//! ledgers. A damaged stream either decodes identically
 //! everywhere or is structurally unrecoverable everywhere; there is no
 //! middle ground.
 //!
@@ -12,7 +12,6 @@
 //! failure is reproducible locally with the same environment variable.
 
 use tiledec_bitstream::fault::FaultPlan;
-use tiledec_core::slice_level::run_slice_level_resilient;
 use tiledec_core::{PipelineDecoder, SystemConfig, ThreadedSystem};
 use tiledec_mpeg2::encoder::{Encoder, EncoderConfig};
 use tiledec_mpeg2::{decode_all, decode_all_resilient, ErrorPolicy, Frame, StreamDamage};
@@ -155,16 +154,6 @@ fn damaged_streams_decode_identically_across_backends() {
             }
         }
 
-        let bands = run_slice_level_resilient(&data, 3, 2);
-        match (&reference, &bands) {
-            (Ok((frames, damage)), Ok((res, bd))) => {
-                assert_frames_equal(&res.frames, frames, &format!("seed {seed} slice-level"));
-                assert_eq!(bd, damage, "seed {seed} slice-level: damage ledger");
-            }
-            (Err(_), Err(_)) => {}
-            _ => panic!("seed {seed} slice-level: outcome split with sequential"),
-        }
-
         let cfg = SystemConfig::new(1, (2, 2)).with_policy(ErrorPolicy::Resilient);
         let tiled = ThreadedSystem::new(cfg).play(&data);
         match (&reference, &tiled) {
@@ -296,10 +285,6 @@ fn resilient_on_clean_streams_is_invisible() {
         assert!(pd.clean, "vld-{workers}: clean ledger");
         assert_frames_equal(&pf, &strict, &format!("vld-{workers} resilient on clean"));
     }
-
-    let (res, bd) = run_slice_level_resilient(&data, 3, 2).expect("slice-level resilient");
-    assert!(bd.clean, "slice-level: clean ledger");
-    assert_frames_equal(&res.frames, &strict, "slice-level resilient on clean");
 
     let cfg = SystemConfig::new(1, (2, 2)).with_policy(ErrorPolicy::Resilient);
     let out = ThreadedSystem::new(cfg)
